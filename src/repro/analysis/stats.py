@@ -50,25 +50,29 @@ class AlternatingStatistics:
 def ctmdp_alternating_statistics(ctmdp: CTMDP) -> AlternatingStatistics:
     """Reconstruct Table-1-style statistics from a CTMDP.
 
-    Rate functions are deduplicated structurally (same targets, same
-    rates); each distinct function corresponds to one Markov state of
-    the underlying strictly alternating IMC.
+    Rate functions are deduplicated structurally (same targets in the
+    same stored order, same rates rounded to 12 decimals); each distinct
+    function corresponds to one Markov state of the underlying strictly
+    alternating IMC.  Rows are compared as byte strings, one group of
+    equally long rows at a time.
     """
     matrix = ctmdp.rate_matrix
-    seen: dict[tuple, int] = {}
+    lengths = np.diff(matrix.indptr)
+    rounded = np.round(matrix.data, 12).view(np.int64)
+    markov_states = 0
     markov_transitions = 0
-    for row in range(matrix.shape[0]):
-        lo, hi = matrix.indptr[row], matrix.indptr[row + 1]
-        key = (
-            tuple(matrix.indices[lo:hi].tolist()),
-            tuple(np.round(matrix.data[lo:hi], 12).tolist()),
+    for length in np.unique(lengths).tolist():
+        entries = matrix.indptr[:-1][lengths == length][:, None] + np.arange(length)
+        keys = np.concatenate(
+            [matrix.indices[entries].astype(np.int64), rounded[entries]], axis=1
         )
-        if key not in seen:
-            seen[key] = row
-            markov_transitions += hi - lo
+        rows = np.ascontiguousarray(keys).view(np.dtype((np.void, 16 * length)))
+        distinct = len(np.unique(rows)) if length else 1
+        markov_states += distinct
+        markov_transitions += distinct * length
     return AlternatingStatistics(
         interactive_states=ctmdp.num_states,
-        markov_states=len(seen),
+        markov_states=markov_states,
         interactive_transitions=ctmdp.num_transitions,
         markov_transitions=markov_transitions,
         memory_bytes=ctmdp.memory_bytes(),

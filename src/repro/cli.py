@@ -565,7 +565,7 @@ def _save_check_policy(args: argparse.Namespace, result, model) -> int:
     from repro.engine import ModelRegistry, default_cache_dir
     from repro.engine.keys import model_key, normalize_spec
     from repro.errors import ReproError
-    from repro.policy.artifact import PolicyArtifact
+    from repro.policy.artifact import PolicyArtifact, model_digest
     from repro.policy.options import save_policy_artifacts
 
     solver_result = getattr(result, "solver_result", None)
@@ -587,6 +587,7 @@ def _save_check_policy(args: argparse.Namespace, result, model) -> int:
         "epsilon": args.epsilon,
         "value": result.value,
         "initial": int(model.initial),
+        "model_digest": model_digest(model),
     }
     safe = getattr(path, "safe", None)
     if safe is not None and not safe.is_true:

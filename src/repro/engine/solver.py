@@ -186,7 +186,7 @@ def _policy_from_outcome(group, query, built, value, outcome, metrics):
     compressed/dense byte counters, the compression-ratio gauges) the
     observability glossary documents.
     """
-    from repro.policy.artifact import PolicyArtifact
+    from repro.policy.artifact import PolicyArtifact, model_digest
 
     decisions = outcome.decisions
     artifact = PolicyArtifact(
@@ -200,6 +200,7 @@ def _policy_from_outcome(group, query, built, value, outcome, metrics):
             "epsilon": query.epsilon,
             "value": value,
             "initial": int(built.model.initial),
+            "model_digest": model_digest(built.model),
         },
         certificate=outcome.certificate,
     )

@@ -28,6 +28,26 @@ other configurations carry a single internal transition whose rate
 function is the exponential race between failures, the running repair,
 and the uniformisation self-loop.
 
+Integer encoding and state order
+--------------------------------
+Generation never materialises :class:`Config` objects.  A configuration
+is one integer *code* in mixed radix, most significant field first::
+
+    code = ((((fL * (N+1) + fR) * 2 + swL) * 2 + swR) * 2 + bb) * 6 + ru
+
+with ``ru`` = 0 for an idle repair unit and ``1 + KINDS.index(kind)``
+otherwise, so the full lattice has ``48 (N+1)^2`` codes.  One more
+failure of a kind adds a fixed stride to the code, attaching the repair
+unit to kind ``k`` adds ``k``, and a completed repair subtracts both.
+The race successors and rates of every code are therefore computed at
+once with array arithmetic; decision points take their rate functions
+from the races of ``code + k`` for their failed kinds.  One
+breadth-first traversal from the all-up code 0 finds the reachable
+codes, and the CTMDP numbers them in increasing code order: state 0 is
+the all-up initial configuration, and the columns of every rate
+function come out sorted.  :attr:`FTWCModel.configs` decodes codes back
+into :class:`Config` values on access.
+
 Uniformity by construction
 --------------------------
 Every rate function has total rate ``E(N) = mu_max + 2N*lf_ws +
@@ -35,18 +55,21 @@ Every rate function has total rate ``E(N) = mu_max + 2N*lf_ws +
 rate at all times (clocks of failed components contribute to the
 self-loop), and the shared repair clock ticks at the fastest repair
 rate ``mu_max`` (slower repairs are padded with self-loop rate, exactly
-Jensen's uniformization).  This mirrors the elapse-based compositional
-construction and reproduces the uniform rates implied by the iteration
-counts of Table 1.
+Jensen's uniformization).  The self-loop rate is ``E(N)`` minus the
+exactly rounded (``math.fsum``) sum of the other rates.  This mirrors
+the elapse-based compositional construction and reproduces the uniform
+rates implied by the iteration counts of Table 1.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
-from typing import Iterator
+from dataclasses import dataclass
+from typing import Any, Iterator, Sequence, overload
 
 import numpy as np
+import scipy.sparse as sp
+from scipy.sparse.csgraph import breadth_first_order
 
 from repro.core.ctmdp import CTMDP
 from repro.ctmc.model import CTMC
@@ -55,6 +78,7 @@ from repro.errors import ModelError
 __all__ = [
     "FTWCParameters",
     "Config",
+    "Configurations",
     "FTWCModel",
     "build_ctmdp",
     "build_ctmc",
@@ -68,6 +92,12 @@ KINDS = ("wsL", "wsR", "swL", "swR", "bb")
 
 #: The repair unit is idle.
 IDLE = ""
+
+#: Repair-unit digit of a code -> the ``repairing`` field.
+_REPAIRING = (IDLE,) + KINDS
+
+#: Action label of the rate function taken from the race of ``code + k``.
+_LABELS = np.array(["tau"] + [f"g_{kind}" for kind in KINDS], dtype=object)
 
 
 @dataclass(frozen=True)
@@ -194,6 +224,14 @@ class Config:
         )
 
 
+def _quality_need(n: int, threshold: int | None) -> int:
+    """The validated number of connected operational workstations required."""
+    need = n if threshold is None else threshold
+    if not 0 < need <= 2 * n:
+        raise ModelError(f"quality threshold must lie in 1..{2 * n}, got {need}")
+    return need
+
+
 def premium(config: Config, n: int, threshold: int | None = None) -> bool:
     """Quality-of-service predicate of [13] (Section 5 of the paper).
 
@@ -207,9 +245,7 @@ def premium(config: Config, n: int, threshold: int | None = None) -> bool:
     property.  Smaller thresholds give the *minimum quality* variants
     also studied in [13] (e.g. ``threshold = (3 * n) // 4``).
     """
-    need = n if threshold is None else threshold
-    if not 0 < need <= 2 * n:
-        raise ModelError(f"quality threshold must lie in 1..{2 * n}, got {need}")
+    need = _quality_need(n, threshold)
     op_left = n - config.failed_left
     op_right = n - config.failed_right
     sw_left = not config.sw_left_down
@@ -222,33 +258,187 @@ def premium(config: Config, n: int, threshold: int | None = None) -> bool:
     return sw_left and sw_right and bb and op_left + op_right >= need
 
 
-def _race(config: Config, params: FTWCParameters, total: float) -> dict[Config, float]:
-    """Rate function of the exponential race out of ``config``.
+# ----------------------------------------------------------------------
+# Integer encoding
+# ----------------------------------------------------------------------
+def _fields(codes: Any, n: int) -> tuple[Any, ...]:
+    """Decode one code or an array of codes into ``(failed_left,
+    failed_right, sw_left_down, sw_right_down, bb_down, repairing digit)``."""
+    high, low = divmod(codes, 48)
+    failed_left, failed_right = divmod(high, n + 1)
+    return (
+        failed_left,
+        failed_right,
+        low // 24 == 1,
+        (low // 12) % 2 == 1,
+        (low // 6) % 2 == 1,
+        low % 6,
+    )
 
-    Precondition: ``config`` is not a decision point.  The self-loop
-    padding tops the exit rate up to the uniform rate ``total``.
+
+def _decode(code: int, n: int) -> Config:
+    *fields, repairing = _fields(code, n)
+    return Config(*fields, _REPAIRING[repairing])
+
+
+class Configurations(Sequence[Config]):
+    """The configurations of a generated model, one per state.
+
+    Holds only the states' integer codes (sorted, as the states are) and
+    decodes a :class:`Config` on each access.
     """
-    n = params.n
-    rates: dict[Config, float] = {}
 
-    def add(target: Config, rate: float) -> None:
-        if rate > 0.0:
-            rates[target] = rates.get(target, 0.0) + rate
+    def __init__(self, codes: np.ndarray, n: int) -> None:
+        self.codes = codes
+        self.n = n
 
-    add(config.after_failure("wsL"), (n - config.failed_left) * params.ws_fail)
-    add(config.after_failure("wsR"), (n - config.failed_right) * params.ws_fail)
-    if not config.sw_left_down:
-        add(config.after_failure("swL"), params.sw_fail)
-    if not config.sw_right_down:
-        add(config.after_failure("swR"), params.sw_fail)
-    if not config.bb_down:
-        add(config.after_failure("bb"), params.bb_fail)
-    if config.repairing:
-        add(config.after_repair(), params.repair_rate(config.repairing))
+    def __len__(self) -> int:
+        return len(self.codes)
 
-    padding = total - math.fsum(rates.values())
-    add(config, padding)
-    return rates
+    @overload
+    def __getitem__(self, index: int) -> Config: ...
+
+    @overload
+    def __getitem__(self, index: slice) -> "Configurations": ...
+
+    def __getitem__(self, index: int | slice) -> "Config | Configurations":
+        if isinstance(index, slice):
+            return Configurations(self.codes[index], self.n)
+        return _decode(int(self.codes[index]), self.n)
+
+    def __iter__(self) -> Iterator[Config]:
+        n = self.n
+        return (_decode(code, n) for code in self.codes.tolist())
+
+
+def _goal_mask(codes: np.ndarray, n: int, threshold: int | None) -> np.ndarray:
+    """``not premium`` for every code, as array arithmetic."""
+    need = _quality_need(n, threshold)
+    failed_left, failed_right, sw_left_down, sw_right_down, bb_down, _ = _fields(codes, n)
+    op_left = n - failed_left
+    op_right = n - failed_right
+    quality = (
+        (~sw_left_down & (op_left >= need))
+        | (~sw_right_down & (op_right >= need))
+        | (~sw_left_down & ~sw_right_down & ~bb_down & (op_left + op_right >= need))
+    )
+    return ~quality
+
+
+def _state_names(codes: np.ndarray, n: int) -> list[str]:
+    """``Config.describe()`` of every code, assembled from two tables."""
+    counts = [f"fL={left},fR={right}," for left in range(n + 1) for right in range(n + 1)]
+    flags = [
+        _decode(low, n).describe().split(",", 2)[2] for low in range(48)
+    ]
+    high, low = np.divmod(codes, 48)
+    names = np.array(counts, dtype=object)[high] + np.array(flags, dtype=object)[low]
+    return names.tolist()
+
+
+class _Races:
+    """Race successors of every consistent code of the lattice.
+
+    A code is *consistent* when its repair unit is idle or attached to a
+    kind with a failed component; only those are ever reached.  Row
+    ``r`` describes code ``codes[r]``; ``targets[r]`` and ``rates[r]``
+    list its race entries in increasing target order -- the completed
+    repair, the self-loop, then one failure per kind in reverse
+    ``KINDS`` order -- with target row ``-1`` where an entry is absent.
+    Decision points carry no self-loop (their race is only used by the
+    CTMC variant, which drops it).  ``row_of`` maps a lattice code to
+    its row (``-1`` if inconsistent).
+    """
+
+    def __init__(self, params: FTWCParameters) -> None:
+        n = params.n
+        lattice = np.arange(48 * (n + 1) ** 2, dtype=np.int64)
+        failed_left, failed_right, sw_left, sw_right, bb, repairing = _fields(lattice, n)
+        # failed[:, k]: kind KINDS[k] has a failed component.
+        failed = np.column_stack([failed_left > 0, failed_right > 0, sw_left, sw_right, bb])
+        consistent = np.column_stack([np.ones(len(lattice), dtype=bool), failed])[
+            lattice, repairing
+        ]
+        self.codes = codes = lattice[consistent]
+        failed = failed[consistent]
+        repairing = repairing[consistent]
+        failed_left, failed_right = failed_left[consistent], failed_right[consistent]
+        decision = (repairing == 0) & failed.any(axis=1)
+        # grabs[r, k]: decision point r may attach the repair unit to KINDS[k].
+        self.grabs = failed & decision[:, None]
+        self.row_of = np.full(len(lattice), -1, dtype=np.int64)
+        self.row_of[codes] = np.arange(len(codes))
+
+        # Code increment of one more failure, per kind in KINDS order.
+        strides = np.array([48 * (n + 1), 48, 24, 12, 6], dtype=np.int64)
+        repair_rate = np.array([0.0] + [params.repair_rate(k) for k in KINDS])
+        repair_stride = np.concatenate(([0], strides))
+        fail_rate = np.array([params.fail_rate(k) for k in KINDS])
+        up = np.column_stack([n - failed_left, n - failed_right, ~failed[:, 2:]])
+        offsets = np.concatenate(([0, 0], strides[::-1]))
+        target_codes = codes[:, None] + offsets
+        target_codes[:, 0] -= repair_stride[repairing] + repairing
+        rates = np.zeros(target_codes.shape)
+        rates[:, 0] = repair_rate[repairing]
+        rates[:, 2:] = (up * fail_rate)[:, ::-1]
+
+        races = ~decision
+        total = uniform_rate(params)
+        sums = np.fromiter(map(math.fsum, rates[races].tolist()), float, races.sum())
+        rates[races, 1] = total - sums
+
+        present = rates > 0.0
+        self.rates = rates
+        self.targets = np.where(
+            present, self.row_of[np.where(present, target_codes, 0)], -1
+        )
+
+
+def _reachable(
+    sources: np.ndarray, targets: np.ndarray, num_rows: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """Rows reachable from row 0 over ``sources[i] -> targets[i, :]``.
+
+    ``sources`` must be sorted; ``-1`` targets are absent.  Returns the
+    reachable rows in increasing order and the state number of every
+    row (``-1`` if unreachable).
+    """
+    present = targets >= 0
+    counts = np.bincount(sources, weights=present.sum(axis=1), minlength=num_rows)
+    indptr = np.concatenate(([0], np.cumsum(counts.astype(np.int64))))
+    graph = sp.csr_matrix(
+        (np.ones(int(indptr[-1]), dtype=np.int8), targets[present], indptr),
+        shape=(num_rows, num_rows),
+    )
+    reached = np.sort(breadth_first_order(graph, 0, directed=True, return_predecessors=False))
+    state_of = np.full(num_rows, -1, dtype=np.int64)
+    state_of[reached] = np.arange(len(reached))
+    return reached, state_of
+
+
+def _rate_matrix(
+    targets: np.ndarray, rates: np.ndarray, state_of: np.ndarray, num_states: int
+) -> sp.csr_matrix:
+    """CSR matrix with one row per ``targets``/``rates`` row.
+
+    Entries are in increasing target order already, so the result is in
+    canonical form without sorting.
+    """
+    present = targets >= 0
+    indptr = np.concatenate(([0], np.cumsum(present.sum(axis=1)))).astype(np.int32)
+    indices = state_of[targets[present]].astype(np.int32)
+    matrix = sp.csr_matrix(
+        (rates[present], indices, indptr), shape=(len(targets), num_states)
+    )
+    matrix.has_sorted_indices = True
+    return matrix
+
+
+def _checked(n: int, params: FTWCParameters | None) -> FTWCParameters:
+    params = params or FTWCParameters(n=n)
+    if params.n != n:
+        raise ModelError("n argument and params.n disagree")
+    return params
 
 
 @dataclass
@@ -269,7 +459,7 @@ class FTWCModel:
     """
 
     ctmdp: CTMDP
-    configs: list[Config]
+    configs: Sequence[Config]
     goal_mask: np.ndarray
     params: FTWCParameters
 
@@ -277,38 +467,6 @@ class FTWCModel:
     def initial_value_index(self) -> int:
         """Index of the all-operational initial state."""
         return self.ctmdp.initial
-
-
-def _explore(
-    params: FTWCParameters, racing_decisions: bool = False
-) -> tuple[list[Config], dict[Config, int]]:
-    """Enumerate all configurations reachable from the fully-up cluster.
-
-    With ``racing_decisions`` the decision points additionally spawn
-    their failure successors (needed for the CTMC variant, where the
-    failure clocks race against the assignment delay).
-    """
-    start = Config(0, 0, False, False, False, IDLE)
-    index: dict[Config, int] = {start: 0}
-    order: list[Config] = [start]
-    total = uniform_rate(params)
-    frontier = [start]
-    while frontier:
-        config = frontier.pop()
-        successors: list[Config] = []
-        if config.is_decision_point():
-            for kind in config.failed_kinds():
-                successors.extend(_race(config.with_repairing(kind), params, total))
-            if racing_decisions:
-                successors.extend(_race(config, params, total))
-        else:
-            successors.extend(_race(config, params, total))
-        for target in successors:
-            if target not in index:
-                index[target] = len(order)
-                order.append(target)
-                frontier.append(target)
-    return order, index
 
 
 def build_ctmdp(
@@ -319,42 +477,44 @@ def build_ctmdp(
     """Build the uniform CTMDP of the FTWC with ``n`` workstations per side.
 
     Decision points offer one ``g_<kind>`` transition per failed kind
-    (the nondeterministic repair-unit assignment); every other
-    configuration offers a single ``tau`` transition.  All rate
-    functions share the uniform exit rate ``E(N)``.
+    (the nondeterministic repair-unit assignment, in ``KINDS`` order);
+    every other configuration offers a single ``tau`` transition.  All
+    rate functions share the uniform exit rate ``E(N)``.  States are
+    numbered in increasing code order (see the module docstring).
 
     ``quality_threshold`` selects the required number of connected
     operational workstations (default ``n``: the premium property).
     """
-    params = params or FTWCParameters(n=n)
-    if params.n != n:
-        raise ModelError("n argument and params.n disagree")
-    total = uniform_rate(params)
-    order, index = _explore(params)
+    params = _checked(n, params)
+    races = _Races(params)
+    # Choice k of a code takes the race of ``code + k``: k = 0 is the
+    # code's own race, k >= 1 grabs KINDS[k - 1] at a decision point.
+    choices = np.column_stack([~races.grabs.any(axis=1), races.grabs])
+    sources, kinds = np.nonzero(choices)
+    race_rows = races.row_of[races.codes[sources] + kinds]
+    targets = races.targets[race_rows]
 
-    transitions: list[tuple[int, str, dict[int, float]]] = []
-    for config in order:
-        src = index[config]
-        if config.is_decision_point():
-            for kind in config.failed_kinds():
-                rates = _race(config.with_repairing(kind), params, total)
-                transitions.append(
-                    (src, f"g_{kind}", {index[c]: r for c, r in rates.items()})
-                )
-        else:
-            rates = _race(config, params, total)
-            transitions.append((src, "tau", {index[c]: r for c, r in rates.items()}))
+    reached, state_of = _reachable(sources, targets, len(races.codes))
+    keep = state_of[sources] >= 0
+    race_rows = race_rows[keep]
+    codes = races.codes[reached]
 
-    ctmdp = CTMDP.from_transitions(
-        num_states=len(order),
-        transitions=transitions,
+    ctmdp = CTMDP(
+        num_states=len(reached),
+        sources=state_of[sources[keep]],
+        labels=_LABELS[kinds[keep]].tolist(),
+        rate_matrix=_rate_matrix(
+            targets[keep], races.rates[race_rows], state_of, len(reached)
+        ),
         initial=0,
-        state_names=[c.describe() for c in order],
+        state_names=_state_names(codes, n),
     )
-    goal = np.array(
-        [not premium(c, n, quality_threshold) for c in order], dtype=bool
+    return FTWCModel(
+        ctmdp=ctmdp,
+        configs=Configurations(codes, n),
+        goal_mask=_goal_mask(codes, n, quality_threshold),
+        params=params,
     )
-    return FTWCModel(ctmdp=ctmdp, configs=order, goal_mask=goal, params=params)
 
 
 def build_ctmc(
@@ -362,7 +522,7 @@ def build_ctmc(
     params: FTWCParameters | None = None,
     gamma: float = 10.0,
     quality_threshold: int | None = None,
-) -> tuple[CTMC, list[Config], np.ndarray]:
+) -> tuple[CTMC, Configurations, np.ndarray]:
     """Build the CTMC approximation of [13]: nondeterminism as fast races.
 
     At decision points the repair-unit assignment is replaced by a race
@@ -378,41 +538,36 @@ def build_ctmc(
     realise.  This is why this chain *overestimates* even the
     worst-case CTMDP probabilities (Figure 4 of the paper).
 
-    Returns ``(chain, configurations, goal mask)``.
+    Returns ``(chain, configurations, goal mask)``; states are numbered
+    in increasing code order.
     """
-    params = params or FTWCParameters(n=n)
-    if params.n != n:
-        raise ModelError("n argument and params.n disagree")
+    params = _checked(n, params)
     if gamma <= 0.0:
         raise ModelError("gamma must be positive")
-    total = uniform_rate(params)
-    order, index = _explore(params, racing_decisions=True)
-
-    transitions: list[tuple[int, int, float]] = []
-    for config in order:
-        src = index[config]
-        if config.is_decision_point():
-            # The high-rate decision race.  Crucially, the failure clocks
-            # keep running while the "decision" is pending -- in a CTMC
-            # all transitions race.  These artificial interleavings (a
-            # component failing during the infinitesimal assignment
-            # delay, with the repair unit effectively idle) are exactly
-            # the paths the paper identifies as the cause of the CTMC's
-            # overestimation.
-            for kind in config.failed_kinds():
-                transitions.append((src, index[config.with_repairing(kind)], gamma))
-            for target, rate in _race(config, params, total).items():
-                if target != config:
-                    transitions.append((src, index[target], rate))
-        else:
-            for target, rate in _race(config, params, total).items():
-                if target != config:  # drop the uniformisation self-loop
-                    transitions.append((src, index[target], rate))
-
-    # Note: with-repairing intermediate configurations are already states
-    # of the exploration (they are the non-decision flavours).
-    chain = CTMC.from_transitions(len(order), transitions, initial=0)
-    goal = np.array(
-        [not premium(c, n, quality_threshold) for c in order], dtype=bool
+    races = _Races(params)
+    # Every code races its own failures and repair; the uniformisation
+    # self-loop is dropped.  Crucially, the failure clocks keep running
+    # while a decision is pending -- in a CTMC all transitions race.
+    # These artificial interleavings (a component failing during the
+    # infinitesimal assignment delay, with the repair unit effectively
+    # idle) are exactly the paths the paper identifies as the cause of
+    # the CTMC's overestimation.  Decision points add the rate-gamma
+    # race to ``code + k`` per failed kind; those targets sort between
+    # the repair and the failure targets.
+    grabs = races.grabs
+    grab_codes = np.where(grabs, races.codes[:, None] + np.arange(1, len(KINDS) + 1), 0)
+    targets = np.column_stack(
+        [races.targets[:, :1], np.where(grabs, races.row_of[grab_codes], -1),
+         races.targets[:, 2:]]
     )
-    return chain, order, goal
+    rates = np.column_stack(
+        [races.rates[:, :1], np.where(grabs, gamma, 0.0), races.rates[:, 2:]]
+    )
+
+    reached, state_of = _reachable(np.arange(len(races.codes)), targets, len(races.codes))
+    codes = races.codes[reached]
+    chain = CTMC(
+        rates=_rate_matrix(targets[reached], rates[reached], state_of, len(reached)),
+        initial=0,
+    )
+    return chain, Configurations(codes, n), _goal_mask(codes, n, quality_threshold)

@@ -37,6 +37,7 @@ __all__ = [
     "PolicyWriter",
     "ValidationReport",
     "load_artifact",
+    "model_digest",
     "policy_key",
     "save_artifact",
     "validate_artifact",
@@ -45,6 +46,7 @@ __all__ = [
 _LAZY = {
     "PolicyArtifact": "repro.policy.artifact",
     "load_artifact": "repro.policy.artifact",
+    "model_digest": "repro.policy.artifact",
     "policy_key": "repro.policy.artifact",
     "save_artifact": "repro.policy.artifact",
     "ValidationReport": "repro.policy.validate",

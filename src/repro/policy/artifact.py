@@ -29,7 +29,7 @@ import hashlib
 import json
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Any, Iterator, Mapping
+from typing import TYPE_CHECKING, Any, Iterator, Mapping
 
 import numpy as np
 
@@ -37,10 +37,14 @@ from repro.errors import ModelError
 from repro.obs.certificate import NumericalCertificate
 from repro.policy.store import CompressedDecisions
 
+if TYPE_CHECKING:  # pragma: no cover - typing only
+    from repro.core.ctmdp import CTMDP
+
 __all__ = [
     "MAGIC",
     "PolicyArtifact",
     "load_artifact",
+    "model_digest",
     "policy_key",
     "save_artifact",
 ]
@@ -65,7 +69,10 @@ class PolicyArtifact:
     ``meta`` must carry at least ``model_key`` (the registry content
     address of the model), ``objective`` (``"max"``/``"min"``), ``t``
     (the horizon), ``epsilon`` and ``value`` (the probability the solver
-    reported).  ``certificate`` is the solver's numerical-health account
+    reported).  An optional ``model_digest`` (:func:`model_digest` of
+    the model the policy was extracted on) lets validation refuse a
+    model whose states or choices are numbered differently.
+    ``certificate`` is the solver's numerical-health account
     from the extraction run; it travels with the artifact but does not
     enter the content hash (it is diagnostics, not policy content).
     """
@@ -179,6 +186,33 @@ def policy_key(artifact: PolicyArtifact) -> str:
     for name, array in artifact.decisions.arrays().items():
         digest.update(name.encode("ascii"))
         digest.update(np.ascontiguousarray(array).tobytes())
+    return digest.hexdigest()
+
+
+def model_digest(ctmdp: "CTMDP") -> str:
+    """SHA-256 over a CTMDP's ``choice_ptr`` and its rate matrix's
+    ``indptr``, ``indices`` and ``data``.
+
+    A policy names states and choices by number, so it only fits models
+    numbered alike: two models share a digest iff they have the same
+    choices per state and the same rate entries per choice.  Arrays are
+    hashed in canonical CSR form as little-endian int64/float64, so the
+    digest does not depend on index dtypes or on whether the model was
+    built in memory or read back from a file.
+    """
+    matrix = ctmdp.rate_matrix
+    if not matrix.has_canonical_format:
+        matrix = matrix.copy()
+        matrix.sum_duplicates()
+    digest = hashlib.sha256()
+    for array, dtype in (
+        (ctmdp.choice_ptr, "<i8"),
+        (matrix.indptr, "<i8"),
+        (matrix.indices, "<i8"),
+        (matrix.data, "<f8"),
+    ):
+        digest.update(len(array).to_bytes(8, "little"))
+        digest.update(np.ascontiguousarray(array, dtype=dtype).tobytes())
     return digest.hexdigest()
 
 

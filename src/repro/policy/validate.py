@@ -43,7 +43,7 @@ from repro.core.ctmdp import CTMDP
 from repro.core.reachability import replay_step_scheduler
 from repro.errors import ModelError
 from repro.obs.certificate import NumericalCertificate, record_certificate
-from repro.policy.artifact import PolicyArtifact
+from repro.policy.artifact import PolicyArtifact, model_digest
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.obs.metrics import MetricStore
@@ -211,8 +211,10 @@ def validate_artifact(
     ctmdp:
         The uniform CTMDP the artifact's ``model_key`` names.  The
         caller resolves the key through the registry; this function
-        checks state-space compatibility but cannot re-derive the model
-        from the hash.
+        checks state-space compatibility -- the state count, and the
+        artifact's ``model_digest`` when it records one, raising
+        :class:`~repro.errors.ModelError` on a mismatch -- but cannot
+        re-derive the model from the hash.
     goal:
         Goal set the value was computed for.
     initial:
@@ -230,6 +232,14 @@ def validate_artifact(
             f"policy covers {artifact.decisions.num_states} states, "
             f"model has {ctmdp.num_states}"
         )
+    recorded = artifact.meta.get("model_digest")
+    if recorded is not None:
+        actual = model_digest(ctmdp)
+        if recorded != actual:
+            raise ModelError(
+                f"policy was recorded on model digest {recorded}, this model's "
+                f"digest is {actual}: states, choices or rates differ"
+            )
     if initial is None:
         initial = int(artifact.meta.get("initial", ctmdp.initial))
     if not 0 <= initial < ctmdp.num_states:

@@ -36,6 +36,37 @@ class TestStats:
         assert stats.markov_states == 2
         assert stats.markov_transitions == 2
 
+    def test_matches_a_per_row_loop(self):
+        """Rows of several lengths; two rate functions equal only after
+        rounding to 12 decimals."""
+        from repro.models.ftwc_direct import build_ctmdp
+
+        def per_row(ctmdp):
+            matrix = ctmdp.rate_matrix
+            seen = {}
+            for row in range(matrix.shape[0]):
+                lo, hi = matrix.indptr[row], matrix.indptr[row + 1]
+                key = (
+                    tuple(matrix.indices[lo:hi].tolist()),
+                    tuple(np.round(matrix.data[lo:hi], 12).tolist()),
+                )
+                seen.setdefault(key, hi - lo)
+            return len(seen), sum(seen.values())
+
+        rounded_twins = CTMDP.from_transitions(
+            3,
+            [
+                (0, "a", {1: 1.0, 2: 2.0}),
+                (0, "b", {1: 1.0 + 1e-14, 2: 2.0}),
+                (1, "c", {0: 1.0}),
+                (2, "d", {0: 1.0, 1: 0.5, 2: 0.25}),
+            ],
+        )
+        for ctmdp in (rounded_twins, build_ctmdp(3).ctmdp):
+            stats = ctmdp_alternating_statistics(ctmdp)
+            assert (stats.markov_states, stats.markov_transitions) == per_row(ctmdp)
+        assert ctmdp_alternating_statistics(rounded_twins).markov_states == 3
+
     def test_as_row_keys(self):
         ctmdp = CTMDP.from_transitions(1, [(0, "a", {0: 1.0})])
         row = ctmdp_alternating_statistics(ctmdp).as_row()

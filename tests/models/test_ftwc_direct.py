@@ -203,10 +203,8 @@ class TestQualityThreshold:
 
 class TestLargeSizes:
     @pytest.mark.slow
-    @pytest.mark.parametrize("n", [16, 32, 64])
+    @pytest.mark.parametrize("n", [16, 32, 64, 128])
     def test_matches_paper_at_scale(self, n):
-        from repro.analysis.stats import ctmdp_alternating_statistics
-
         stats = ctmdp_alternating_statistics(build_ctmdp(n).ctmdp)
         paper_states, paper_markov, *_ = PAPER_TABLE1[n]
         assert stats.markov_states == paper_markov

@@ -206,6 +206,21 @@ class TestReplayAgainstModelFile:
         assert report["ok"], report
         assert report["certificate"]["status"] == "ok"
 
+    def test_replay_against_differently_numbered_model_is_refused(
+        self, saved_policy, tmp_path, capsys
+    ):
+        from repro.io.tra import write_ctmdp_tra, write_labels
+        from tests.models import _ftwc_reference
+
+        old = _ftwc_reference.build_ctmdp(1)
+        path = tmp_path / "discovery-order.tra"
+        write_ctmdp_tra(old.ctmdp, path)
+        write_labels(old.goal_mask, "no_premium", path.with_suffix(".lab"))
+        code = main(["policy", "replay", str(saved_policy), "--against", str(path)])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert load_artifact(saved_policy).meta["model_digest"] in err
+
     def test_missing_labels_is_a_usage_error(self, saved_policy, tmp_path, capsys):
         bare = tmp_path / "bare.tra"
         prefix = tmp_path / "full"

@@ -3,12 +3,15 @@
 import numpy as np
 import pytest
 
+from repro.core.reachability import timed_reachability
 from repro.engine import ModelRegistry, Query, run_batch
+from repro.engine.keys import model_key
 from repro.errors import ModelError
 from repro.models import ftwc_direct
 from repro.obs import MetricStore
-from repro.policy.artifact import PolicyArtifact
+from repro.policy.artifact import PolicyArtifact, model_digest
 from repro.policy.validate import validate_artifact
+from tests.models import _ftwc_reference
 
 
 @pytest.fixture(scope="module")
@@ -67,6 +70,53 @@ class TestValidation:
         assert record["artifact_key"] == artifact.key
         assert record["deviation"] == report.deviation
         assert "induced-chain" in report.describe()
+
+
+class TestModelDigest:
+    def test_engine_records_the_digest(self, ftwc):
+        artifact = _extract()
+        assert artifact.meta["model_digest"] == model_digest(ftwc.ctmdp)
+
+    def test_artifact_without_digest_still_validates(self, ftwc):
+        artifact = _extract()
+        meta = {k: v for k, v in artifact.meta.items() if k != "model_digest"}
+        legacy = PolicyArtifact(
+            decisions=artifact.decisions, meta=meta, certificate=artifact.certificate
+        )
+        assert validate_artifact(legacy, ftwc.ctmdp, ftwc.goal_mask).ok
+
+    def test_policy_on_differently_numbered_model_is_refused(self):
+        """Same states, same count, other numbering: the digest tells."""
+        old = _ftwc_reference.build_ctmdp(4)
+        new = ftwc_direct.build_ctmdp(4)
+        assert old.ctmdp.num_states == new.ctmdp.num_states
+        result = timed_reachability(
+            old.ctmdp, old.goal_mask, 50.0, record_scheduler=True
+        )
+        artifact = PolicyArtifact(
+            decisions=result.decisions,
+            meta={
+                "model_key": model_key({"family": "ftwc", "n": 4}),
+                "objective": "max",
+                "t": 50.0,
+                "epsilon": 1e-6,
+                "value": result.value(old.ctmdp.initial),
+                "model_digest": model_digest(old.ctmdp),
+            },
+            certificate=result.certificate,
+        )
+        assert validate_artifact(artifact, old.ctmdp, old.goal_mask).ok
+        with pytest.raises(ModelError) as refused:
+            validate_artifact(artifact, new.ctmdp, new.goal_mask)
+        assert model_digest(old.ctmdp) in str(refused.value)
+        assert model_digest(new.ctmdp) in str(refused.value)
+
+    def test_digest_ignores_index_dtypes_and_file_round_trips(self, ftwc, tmp_path):
+        from repro.io.tra import read_ctmdp_tra, write_ctmdp_tra
+
+        path = tmp_path / "ftwc1.tra"
+        write_ctmdp_tra(ftwc.ctmdp, path)
+        assert model_digest(read_ctmdp_tra(path)) == model_digest(ftwc.ctmdp)
 
 
 class TestRegistryRoundTrip:
