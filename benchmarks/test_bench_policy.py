@@ -4,7 +4,8 @@
   FTWC N=4, t=100 scheduler (and a synthetic ~62k-step policy) at least
   10x smaller than the dense ``iterations x states`` int32 matrix.
 * **Streaming overhead** -- recording through the compressed writer
-  must add less than 10% wall time over the dense recorder it replaced
+  must add less than 10% wall time over the dense recorder it replaced,
+  timed as the historical loop kept in ``tests/core/_sweep_reference.py``
   (computing the per-step argbest is the cost of extraction itself and
   is paid by both formats; the ledger records the plain-solve overhead
   too, for the series).
@@ -29,6 +30,7 @@ from repro.core.reachability import (
 )
 from repro.models import ftwc_direct
 from repro.policy.store import PolicyWriter
+from tests.core import _sweep_reference as reference
 
 N = 4
 T = 100.0
@@ -60,8 +62,9 @@ def test_policy_pipeline_end_to_end():
     model, prepared = _prepared()
 
     plain_seconds, plain = _best_of(lambda: prepared.solve(T, epsilon=EPSILON))
+    dense_prepared = reference.PreparedTimedReachability(model.ctmdp, model.goal_mask)
     dense_seconds, dense = _best_of(
-        lambda: prepared.solve(
+        lambda: dense_prepared.solve(
             T, epsilon=EPSILON, record_scheduler=True, scheduler_format="dense"
         )
     )

@@ -31,7 +31,7 @@ import numpy as np
 
 from repro.core.ctmdp import CTMDP
 from repro.core.qualitative import almost_sure_max, almost_sure_min
-from repro.core.reachability import _goal_mask
+from repro.core.sweep import state_mask
 from repro.errors import ModelError, NonUniformError
 from repro.obs import NumericalCertificate, iterative_certificate
 
@@ -139,7 +139,7 @@ def expected_time_analysis(
     """
     if objective not in ("max", "min"):
         raise ModelError(f"objective must be 'max' or 'min', got {objective!r}")
-    mask = _goal_mask(ctmdp, goal)
+    mask = state_mask(ctmdp.num_states, goal)
     n = ctmdp.num_states
     if not mask.any():
         return ExpectedTimeResult(

@@ -30,58 +30,46 @@ independently of the scheduler -- which is the reason the whole
 Implementation notes (cf. Section 4.2): the rate matrix is stored as a
 ``T x S`` sparse matrix with one row per transition; one backward step
 is a sparse matrix-vector product followed by a segmented optimum over
-each state's contiguous block of transition rows (see
-:mod:`repro.core.segments` for the shared segment machinery, including
-the objective-aware tie handling of the scheduler extraction).
+each state's contiguous block of transition rows.  The loop itself is
+the shared kernel :func:`repro.core.sweep.poisson_sweep`; this module
+prepares its inputs (plain, until, precomputed and replay) and packages
+its output.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from time import perf_counter
-from typing import Iterable
+from typing import Iterable, Iterator
 
 import numpy as np
 
 from repro.core.ctmdp import CTMDP
-from repro.core.segments import (
-    SegmentIndex,
-    segment_argbest,
-    segment_reduce,
-    validate_objective,
+from repro.core.segments import SegmentIndex, validate_objective
+from repro.core.sweep import (
+    DecisionRecorder,
+    Optimise,
+    Replay,
+    finish_sweep,
+    poisson_sweep,
+    state_mask,
+    value_iteration,
 )
 from repro.errors import ModelError, NonUniformError
 from repro.numerics.foxglynn import FoxGlynn, fox_glynn
-from repro.obs import NumericalCertificate, certificate_from_foxglynn, sweep_span
+from repro.obs import NumericalCertificate
 
 # The compressed decision store depends on numpy only (never on the core
 # solvers), so importing it here cannot cycle; the rest of repro.policy
 # *does* import this module and stays behind lazy attributes.
-from repro.policy.store import CompressedDecisions, PolicyWriter
+from repro.policy.store import CompressedDecisions
 
 __all__ = [
     "ReachabilityResult",
     "PreparedTimedReachability",
     "timed_reachability",
     "unbounded_reachability",
-    "evaluate_step_scheduler",
     "replay_step_scheduler",
 ]
-
-#: Decision-recording formats accepted by ``scheduler_format=``:
-#: ``"compressed"`` streams rows into a :class:`CompressedDecisions`
-#: store as the sweep runs (the default -- peak memory no longer scales
-#: as ``iterations x states``); ``"dense"`` keeps the historical int32
-#: matrix and exists for the bitwise equivalence tests.
-SCHEDULER_FORMATS = ("compressed", "dense")
-
-
-def _validate_scheduler_format(scheduler_format: str) -> None:
-    if scheduler_format not in SCHEDULER_FORMATS:
-        raise ModelError(
-            f"scheduler_format must be one of {', '.join(SCHEDULER_FORMATS)}, "
-            f"got {scheduler_format!r}"
-        )
 
 
 @dataclass
@@ -95,9 +83,9 @@ class ReachabilityResult:
     iterations:
         Number of backward steps ``k`` (the paper's "# Iterations").
     uniform_rate:
-        The uniform rate ``E`` of the analysed model, or ``0.0`` when
-        the analysis never needed it (``t = 0`` on an unprepared solver,
-        empty goal set).
+        The uniform rate ``E`` of the analysed model, or ``0.0`` for a
+        trivially answerable query (``t = 0`` or an empty goal set) on
+        a model that is not uniform.
     time_bound:
         The analysed time bound ``t``.
     objective:
@@ -107,10 +95,9 @@ class ReachabilityResult:
     decisions:
         Optional step-indexed optimal scheduler: ``decisions[i - 1][s]``
         is the index (within ``transitions_of(s)``) chosen at step ``i``,
-        or ``-1`` where no choice exists.  Only recorded on request; a
-        :class:`~repro.policy.store.CompressedDecisions` store by
-        default (row-indexable like the historical dense array), the
-        dense int32 matrix under ``scheduler_format="dense"``.
+        or ``-1`` where no choice exists.  Only recorded on request, as
+        a :class:`~repro.policy.store.CompressedDecisions` store
+        (row-indexable like a dense array; ``.dense()`` materialises it).
     certificate:
         The numerical-health certificate of this solve: truncation
         accounting, sweep residual and the certified a-posteriori error
@@ -127,7 +114,7 @@ class ReachabilityResult:
     time_bound: float
     objective: str
     poisson: FoxGlynn
-    decisions: np.ndarray | CompressedDecisions | None = None
+    decisions: CompressedDecisions | None = None
     certificate: NumericalCertificate | None = None
     states_eliminated: int = 0
 
@@ -136,17 +123,42 @@ class ReachabilityResult:
         return float(self.values[state])
 
 
-def _goal_mask(ctmdp: CTMDP, goal: Iterable[int] | np.ndarray) -> np.ndarray:
-    if isinstance(goal, np.ndarray) and goal.dtype == bool:
-        if goal.shape != (ctmdp.num_states,):
-            raise ModelError(f"goal mask must have shape ({ctmdp.num_states},)")
-        return goal
-    mask = np.zeros(ctmdp.num_states, dtype=bool)
-    for state in goal:  # type: ignore[union-attr]
-        if not 0 <= state < ctmdp.num_states:
-            raise ModelError(f"goal state {state} out of range")
-        mask[state] = True
-    return mask
+def _names(until: bool) -> tuple[str, str]:
+    """Certificate algorithm and sweep span of a reachability/until solve."""
+    if until:
+        return "ctmdp.until", "until.sweep"
+    return "ctmdp.reachability", "reachability.sweep"
+
+
+def _trivial_result(
+    ctmdp: CTMDP,
+    mask: np.ndarray,
+    t: float,
+    epsilon: float,
+    objective: str,
+    algorithm: str,
+) -> ReachabilityResult | None:
+    """The answer to a trivially answerable query, else ``None``.
+
+    With ``t = 0`` or an empty goal set the answer is the goal
+    indicator whatever the dynamics, so uniformity is irrelevant: every
+    front end asks here *before* preparing (which requires a uniform
+    model), and the rate is reported only when the model is uniform.
+    """
+    if t < 0.0:
+        raise ModelError("time bound must be non-negative")
+    if t != 0.0 and mask.any():
+        return None
+    uniform = ctmdp.num_transitions > 0 and ctmdp.is_uniform()
+    return ReachabilityResult(
+        values=mask.astype(np.float64),
+        iterations=0,
+        uniform_rate=ctmdp.uniform_rate() if uniform else 0.0,
+        time_bound=t,
+        objective=objective,
+        poisson=fox_glynn(0.0, min(epsilon, 0.5)),
+        certificate=NumericalCertificate.trivial(algorithm, epsilon),
+    )
 
 
 class PreparedTimedReachability:
@@ -162,7 +174,10 @@ class PreparedTimedReachability:
     setup, which is what the batched query engine exploits.
 
     :func:`timed_reachability` delegates to this class, so prepared and
-    one-shot solves are bitwise-identical.
+    one-shot solves are bitwise-identical.  With ``safe`` it answers the
+    until query ``safe U^{<=t} goal`` instead (see
+    :func:`repro.core.until.timed_until`): states neither safe nor goal
+    are blocked at zero.
 
     With ``precompute=True`` every :meth:`solve` first runs the
     qualitative graph analysis (:mod:`repro.graph.qualitative`): states
@@ -180,10 +195,17 @@ class PreparedTimedReachability:
         ctmdp: CTMDP,
         goal: Iterable[int] | np.ndarray,
         precompute: bool = False,
+        safe: Iterable[int] | np.ndarray | None = None,
     ) -> None:
         self.ctmdp = ctmdp
-        self.mask = _goal_mask(ctmdp, goal)
         self.num_states = ctmdp.num_states
+        self.mask = state_mask(self.num_states, goal)
+        self.safe = None if safe is None else state_mask(self.num_states, safe, "safe")
+        self.blocked: np.ndarray | None = None
+        if self.safe is not None:
+            blocked = ~(self.safe | self.mask)
+            self.blocked = blocked if blocked.any() else None
+        self.algorithm, self._span = _names(until=safe is not None)
         self.precompute = bool(precompute)
         self._zero_cache: dict[str, tuple[np.ndarray, np.ndarray | None]] = {}
         self._ready = False
@@ -204,24 +226,6 @@ class PreparedTimedReachability:
         self.goal_idx = np.flatnonzero(self.mask)
         self._ready = True
 
-    def _trivial_result(self, t: float, epsilon: float, objective: str) -> ReachabilityResult:
-        """The ``t = 0`` / empty-goal answer: the goal indicator itself.
-
-        Uniformity is irrelevant here (no time passes, or there is
-        nothing to reach), so the model's rate is *not* recomputed --
-        querying a trivially-zero property on a non-uniform model must
-        not raise.  The prepared rate is reported when available.
-        """
-        return ReachabilityResult(
-            values=self.mask.astype(np.float64),
-            iterations=0,
-            uniform_rate=self.rate if self._ready else 0.0,
-            time_bound=t,
-            objective=objective,
-            poisson=fox_glynn(0.0, min(epsilon, 0.5)),
-            certificate=NumericalCertificate.trivial("ctmdp.reachability", epsilon),
-        )
-
     def _zero_info(self, objective: str) -> tuple[np.ndarray, np.ndarray | None]:
         """The known-zero states of ``objective`` (cached per objective).
 
@@ -229,7 +233,8 @@ class PreparedTimedReachability:
         all); for ``min`` the Prob0E states, together with the witness
         choice (per state, the local index of a transition whose whole
         support stays inside the zero region) that a recorded scheduler
-        must carry so that replaying it reproduces the zero.
+        must carry so that replaying it reproduces the zero.  Blocked
+        until-states lie in either set by construction.
         """
         cached = self._zero_cache.get(objective)
         if cached is not None:
@@ -240,11 +245,13 @@ class PreparedTimedReachability:
         graph = TransitionGraph.from_ctmdp(self.ctmdp)
         if objective == "max":
             info: tuple[np.ndarray, np.ndarray | None] = (
-                prob0_forall(graph, self.mask),
+                prob0_forall(graph, self.mask, safe=self.safe),
                 None,
             )
         else:
-            zero, witness = prob0_exists(graph, self.mask, with_witness=True)
+            zero, witness = prob0_exists(
+                graph, self.mask, safe=self.safe, with_witness=True
+            )
             info = (zero, witness)
         self._zero_cache[objective] = info
         return info
@@ -255,281 +262,175 @@ class PreparedTimedReachability:
         epsilon: float = 1e-6,
         objective: str = "max",
         record_scheduler: bool = False,
-        scheduler_format: str = "compressed",
     ) -> ReachabilityResult:
         """Solve one time bound against the prepared model/goal pair.
 
         With ``record_scheduler`` the optimal step scheduler is recorded
-        as the sweep runs; ``scheduler_format`` picks the representation
-        (see :data:`SCHEDULER_FORMATS`).  The compressed default streams
-        each decision row into a run-length/delta store, so the dense
-        ``iterations x states`` matrix is never materialised.
+        as the sweep runs, streamed row by row into a run-length/delta
+        store, so the dense ``iterations x states`` matrix is never
+        materialised.
         """
         validate_objective(objective)
-        _validate_scheduler_format(scheduler_format)
-        if t < 0.0:
-            raise ModelError("time bound must be non-negative")
-        num_states = self.num_states
-
-        if t == 0.0 or not self._ready:
-            return self._trivial_result(t, epsilon, objective)
-
-        if self.precompute:
-            zero, witness = self._zero_info(objective)
-            return _clamped_sweep(
-                prob=self.prob,
-                prob_to_goal=self.prob_to_goal,
-                choice_ptr=np.asarray(self.ctmdp.choice_ptr),
-                num_states=num_states,
-                mask=self.mask,
-                zero=zero,
-                witness=witness,
-                rate=self.rate,
-                t=t,
-                epsilon=epsilon,
-                objective=objective,
-                record_scheduler=record_scheduler,
-                scheduler_format=scheduler_format,
-                span_name="reachability.sweep",
-                algorithm="ctmdp.reachability",
-            )
+        trivial = _trivial_result(
+            self.ctmdp, self.mask, t, epsilon, objective, self.algorithm
+        )
+        if trivial is not None:
+            return trivial
 
         fg = fox_glynn(self.rate * t, epsilon)
-        psi = fg.probabilities()
-        k = fg.right
-
-        prob = self.prob
-        prob_to_goal = self.prob_to_goal
-        segments = self.segments
-        nonempty = segments.nonempty
-        goal_idx = self.goal_idx
-
-        dense_decisions: np.ndarray | None = None
-        writer: PolicyWriter | None = None
-        decision_row: np.ndarray | None = None
-        if record_scheduler:
-            if scheduler_format == "dense":
-                dense_decisions = np.full((k, num_states), -1, dtype=np.int32)
-            else:
-                # The sweep runs backwards (row k-1 is produced first), so
-                # the writer stores rows in arrival order and flags the
-                # orientation instead of buffering the whole table.
-                writer = PolicyWriter(num_states=num_states, reverse_rows=True)
-                decision_row = np.full(num_states, -1, dtype=np.int32)
-
-        with sweep_span(
-            "reachability.sweep",
-            t=t,
-            objective=objective,
-            states=num_states,
-            transitions=self.ctmdp.num_transitions,
-            iterations=k,
-            lam=self.rate * t,
-        ) as steps:
-            record_steps = steps.enabled
-            q = np.zeros(num_states)
-            for i in range(k, 0, -1):
-                step_started = perf_counter() if record_steps else 0.0
-                psi_i = psi[i - fg.left] if i >= fg.left else 0.0
-                transition_values = psi_i * prob_to_goal + prob @ q
-                best = segment_reduce(transition_values, segments, objective)
-                new_q = np.zeros(num_states)
-                new_q[nonempty] = best
-                new_q[goal_idx] = psi_i + q[goal_idx]
-                if record_scheduler:
-                    # First transition attaining the optimum within each
-                    # segment, with the tie tolerance on the side that
-                    # matches the objective (cf. segment_argbest).
-                    argbest = segment_argbest(
-                        transition_values, best, segments, objective
-                    ).astype(np.int32)
-                    if dense_decisions is not None:
-                        dense_decisions[i - 1, nonempty] = argbest
-                    else:
-                        assert writer is not None and decision_row is not None
-                        decision_row[nonempty] = argbest
-                        writer.append(decision_row)
-                q = new_q
-                if record_steps:
-                    steps.record(perf_counter() - step_started)
-
-        decisions: np.ndarray | CompressedDecisions | None = dense_decisions
-        if writer is not None:
-            decisions = writer.finish()
-
-        values = q.copy()
-        values[goal_idx] = 1.0
-        residual = max(0.0, float(values.max()) - 1.0, -float(values.min()))
-        np.clip(values, 0.0, 1.0, out=values)
+        if self.precompute:
+            values, certificate, decisions = self._sweep_undecided(
+                fg, epsilon, t, objective, record_scheduler
+            )
+        else:
+            recorder = None
+            if record_scheduler:
+                recorder = DecisionRecorder(
+                    np.full(self.num_states, -1, dtype=np.int32), self.segments.nonempty
+                )
+            values, certificate = poisson_sweep(
+                self.prob,
+                self.prob_to_goal,
+                fg,
+                epsilon,
+                self.goal_idx,
+                algorithm=self.algorithm,
+                span=self._span,
+                select=Optimise(self.segments, objective, recorder),
+                blocked=self.blocked,
+                t=t,
+                objective=objective,
+                states=self.num_states,
+                transitions=self.ctmdp.num_transitions,
+                lam=self.rate * t,
+            )
+            decisions = None if recorder is None else recorder.finish()
 
         return ReachabilityResult(
             values=values,
-            iterations=k,
+            iterations=fg.right,
             uniform_rate=self.rate,
             time_bound=t,
             objective=objective,
             poisson=fg,
             decisions=decisions,
-            certificate=certificate_from_foxglynn(
-                fg, epsilon, "ctmdp.reachability", sweep_residual=residual
-            ),
+            certificate=certificate,
+            states_eliminated=certificate.states_eliminated,
         )
 
+    def _sweep_undecided(
+        self,
+        fg: FoxGlynn,
+        epsilon: float,
+        t: float,
+        objective: str,
+        record_scheduler: bool,
+    ) -> tuple[np.ndarray, NumericalCertificate, CompressedDecisions | None]:
+        """The ``precompute=True`` sweep over the undecided states only.
 
-def _clamped_sweep(
-    *,
-    prob,
-    prob_to_goal: np.ndarray,
-    choice_ptr: np.ndarray,
-    num_states: int,
-    mask: np.ndarray,
-    zero: np.ndarray,
-    witness: np.ndarray | None,
-    rate: float,
+        Three state classes leave the numeric sweep:
+
+        * ``zero`` states (the Prob0 set of the requested objective,
+          including blocked until-states) are clamped to 0 -- sound for
+          the *timed* objective because membership means the timed
+          probability is exactly 0 for every horizon;
+        * goal states follow the scalar recursion ``g_i = psi_i +
+          g_{i+1}`` shared by all of them, so their matrix rows and
+          columns fold into ``(psi_i + g_{i+1}) * prob_to_goal``;
+        * only the remaining *active* states are iterated, over the
+          reduced ``active-rows x active-states`` sub-matrix.
+
+        Recorded schedulers stay replayable: clamped min-states carry
+        their zero-witness choice (a transition whose support stays
+        inside the zero region), so the induced-chain validation
+        reproduces the zero.
+        """
+        num_states = self.num_states
+        zero, witness = self._zero_info(objective)
+        active = ~self.mask & ~zero
+        active_idx = np.flatnonzero(active)
+
+        # Decision template for the eliminated states: min-zero states get
+        # their witness transition, everything else the -1 "no choice"
+        # marker (any choice of a max-zero state yields 0, goal states are
+        # pinned by every replay).
+        template = np.full(num_states, -1, dtype=np.int32)
+        if witness is not None:
+            chosen = witness >= 0
+            template[chosen] = witness[chosen].astype(np.int32)
+
+        if len(active_idx) == 0:
+            # Every state is decided; only the constant decisions remain.
+            decisions = None
+            if record_scheduler:
+                recorder = DecisionRecorder(template, active_idx)
+                for _ in range(fg.right):
+                    recorder(active_idx)  # nothing to choose: the template row
+                decisions = recorder.finish()
+            values, certificate = finish_sweep(
+                np.empty(0),
+                float(np.sum(fg.probabilities())),
+                fg,
+                epsilon,
+                self.goal_idx,
+                algorithm=self.algorithm,
+                swept=active,
+            )
+            return values, certificate, decisions
+
+        counts_all = np.diff(np.asarray(self.ctmdp.choice_ptr))
+        row_sources = np.repeat(np.arange(num_states), counts_all)
+        active_rows = np.flatnonzero(active[row_sources])
+        segments = SegmentIndex.from_choice_ptr(
+            np.concatenate(([0], np.cumsum(counts_all[active_idx])))
+        )
+        prob_aa = self.prob[active_rows][:, active_idx].tocsr()
+        recorder = None
+        if record_scheduler:
+            recorder = DecisionRecorder(template, active_idx[segments.nonempty])
+        values, certificate = poisson_sweep(
+            prob_aa,
+            self.prob_to_goal[active_rows],
+            fg,
+            epsilon,
+            self.goal_idx,
+            algorithm=self.algorithm,
+            span=self._span,
+            select=Optimise(segments, objective, recorder),
+            swept=active,
+            t=t,
+            objective=objective,
+            states=num_states,
+            active=len(active_idx),
+            lam=self.rate * t,
+            precompute=True,
+        )
+        return values, certificate, None if recorder is None else recorder.finish()
+
+
+def _solve(
+    ctmdp: CTMDP,
+    goal: Iterable[int] | np.ndarray,
+    safe: Iterable[int] | np.ndarray | None,
     t: float,
     epsilon: float,
     objective: str,
     record_scheduler: bool,
-    scheduler_format: str,
-    span_name: str,
-    algorithm: str,
+    precompute: bool,
 ) -> ReachabilityResult:
-    """Backward sweep restricted to the qualitatively undecided states.
-
-    Shared by timed reachability and timed until under
-    ``precompute=True``.  Three state classes leave the numeric sweep:
-
-    * ``zero`` states (the Prob0 set of the requested objective,
-      including blocked until-states) are clamped to 0 -- sound for the
-      *timed* objective because membership means the timed probability
-      is exactly 0 for every horizon;
-    * goal states follow the scalar recursion ``g_i = psi_i + g_{i+1}``
-      shared by all of them, so their matrix rows and columns fold into
-      ``(psi_i + g_{i+1}) * prob_to_goal``;
-    * only the remaining *active* states are iterated, over the reduced
-      ``active-rows x active-states`` sub-matrix.
-
-    Recorded schedulers stay replayable: clamped min-states carry their
-    zero-witness choice (a transition whose support stays inside the
-    zero region), so the induced-chain validation reproduces the zero.
-    """
-    fg = fox_glynn(rate * t, epsilon)
-    psi = fg.probabilities()
-    k = fg.right
-
-    active = ~mask & ~zero
-    active_idx = np.flatnonzero(active)
-    goal_idx = np.flatnonzero(mask)
-    states_eliminated = num_states - len(active_idx)
-
-    # Decision template for the eliminated states: min-zero states get
-    # their witness transition, everything else the -1 "no choice"
-    # marker (any choice of a max-zero state yields 0, goal states are
-    # pinned by every replay).
-    template = np.full(num_states, -1, dtype=np.int32)
-    if witness is not None:
-        chosen = witness >= 0
-        template[chosen] = witness[chosen].astype(np.int32)
-
-    dense_decisions: np.ndarray | None = None
-    writer: PolicyWriter | None = None
-    if record_scheduler:
-        if scheduler_format == "dense":
-            dense_decisions = np.full((k, num_states), -1, dtype=np.int32)
-        else:
-            writer = PolicyWriter(num_states=num_states, reverse_rows=True)
-
-    def _finish(
-        q_active: np.ndarray, g_total: float
-    ) -> ReachabilityResult:
-        decisions: np.ndarray | CompressedDecisions | None = dense_decisions
-        if writer is not None:
-            decisions = writer.finish()
-        values = np.zeros(num_states)
-        values[active_idx] = q_active
-        values[goal_idx] = 1.0
-        residual = max(
-            0.0,
-            float(values.max()) - 1.0,
-            -float(values.min()),
-            g_total - 1.0,
-        )
-        np.clip(values, 0.0, 1.0, out=values)
-        return ReachabilityResult(
-            values=values,
-            iterations=k,
-            uniform_rate=rate,
-            time_bound=t,
-            objective=objective,
-            poisson=fg,
-            decisions=decisions,
-            certificate=certificate_from_foxglynn(
-                fg,
-                epsilon,
-                algorithm,
-                sweep_residual=residual,
-                states_eliminated=states_eliminated,
-            ),
-            states_eliminated=states_eliminated,
-        )
-
-    if len(active_idx) == 0:
-        # Every state is decided; only the constant decisions remain.
-        if dense_decisions is not None:
-            dense_decisions[:] = template
-        elif writer is not None:
-            for _ in range(k):
-                writer.append(template)
-        return _finish(np.empty(0), float(np.sum(psi)))
-
-    counts_all = np.diff(choice_ptr)
-    row_sources = np.repeat(np.arange(num_states), counts_all)
-    active_rows = np.flatnonzero(active[row_sources])
-    segments = SegmentIndex.from_choice_ptr(
-        np.concatenate(([0], np.cumsum(counts_all[active_idx])))
+    """The one-shot front end of timed reachability and timed until."""
+    validate_objective(objective)
+    mask = state_mask(ctmdp.num_states, goal)
+    if safe is not None:
+        safe = state_mask(ctmdp.num_states, safe, "safe")
+    algorithm = _names(until=safe is not None)[0]
+    trivial = _trivial_result(ctmdp, mask, t, epsilon, objective, algorithm)
+    if trivial is not None:
+        return trivial
+    prepared = PreparedTimedReachability(ctmdp, mask, precompute=precompute, safe=safe)
+    return prepared.solve(
+        t, epsilon=epsilon, objective=objective, record_scheduler=record_scheduler
     )
-    sub = prob[active_rows]
-    prob_aa = sub[:, active_idx].tocsr()
-    prob_to_goal_active = prob_to_goal[active_rows]
-    record_states = active_idx[segments.nonempty]
-
-    with sweep_span(
-        span_name,
-        t=t,
-        objective=objective,
-        states=num_states,
-        active=len(active_idx),
-        iterations=k,
-        lam=rate * t,
-        precompute=True,
-    ) as steps:
-        record_steps = steps.enabled
-        q = np.zeros(len(active_idx))
-        g = 0.0  # the shared goal-state value g_{i+1}
-        for i in range(k, 0, -1):
-            step_started = perf_counter() if record_steps else 0.0
-            psi_i = psi[i - fg.left] if i >= fg.left else 0.0
-            transition_values = (psi_i + g) * prob_to_goal_active + prob_aa @ q
-            best = segment_reduce(transition_values, segments, objective)
-            new_q = np.zeros(len(active_idx))
-            new_q[segments.nonempty] = best
-            if record_scheduler:
-                argbest = segment_argbest(
-                    transition_values, best, segments, objective
-                ).astype(np.int32)
-                decision_row = template.copy()
-                decision_row[record_states] = argbest
-                if dense_decisions is not None:
-                    dense_decisions[i - 1] = decision_row
-                else:
-                    assert writer is not None
-                    writer.append(decision_row)
-            q = new_q
-            g = psi_i + g
-            if record_steps:
-                steps.record(perf_counter() - step_started)
-
-    return _finish(q, g)
 
 
 def timed_reachability(
@@ -539,7 +440,6 @@ def timed_reachability(
     epsilon: float = 1e-6,
     objective: str = "max",
     record_scheduler: bool = False,
-    scheduler_format: str = "compressed",
     precompute: bool = False,
 ) -> ReachabilityResult:
     """Run Algorithm 1 on a uniform CTMDP.
@@ -549,8 +449,8 @@ def timed_reachability(
     ctmdp:
         The model; must be uniform (:class:`~repro.errors.NonUniformError`
         otherwise -- the greedy recursion is unsound on non-uniform
-        models).  Trivially-answerable queries (empty goal set) are
-        exempt: uniformity is irrelevant to their answer.
+        models).  Trivially-answerable queries (``t = 0``, empty goal
+        set) are exempt: uniformity is irrelevant to their answer.
     goal:
         Goal set ``B`` as indices or boolean mask over states.
     t:
@@ -561,13 +461,9 @@ def timed_reachability(
         ``"max"`` for worst-case (sup over schedulers), ``"min"`` for
         best-case (inf).
     record_scheduler:
-        If true, record the optimising transition per state and step.
-    scheduler_format:
-        ``"compressed"`` (default) streams the decisions into a
-        :class:`~repro.policy.store.CompressedDecisions` store during
-        the sweep; ``"dense"`` keeps the historical
-        ``iterations x num_states`` int32 matrix (large for the long
-        FTWC horizons -- it exists for the equivalence tests).
+        If true, record the optimising transition per state and step,
+        streamed into a :class:`~repro.policy.store.CompressedDecisions`
+        store during the sweep.
     precompute:
         If true, clamp the qualitative zero set and fold the goal states
         into a scalar recursion before iterating; the sweep then covers
@@ -579,18 +475,14 @@ def timed_reachability(
     -------
     ReachabilityResult
     """
-    return PreparedTimedReachability(ctmdp, goal, precompute=precompute).solve(
-        t,
-        epsilon=epsilon,
-        objective=objective,
-        record_scheduler=record_scheduler,
-        scheduler_format=scheduler_format,
+    return _solve(
+        ctmdp, goal, None, t, epsilon, objective, record_scheduler, precompute
     )
 
 
 def _replay_rows(
     decisions: np.ndarray | CompressedDecisions, right: int
-) -> Iterable[np.ndarray]:
+) -> Iterator[np.ndarray]:
     """Decision rows for backward indices ``i = right .. 1``.
 
     Backward step ``i`` reads logical row ``min(i - 1, steps - 1)``:
@@ -638,29 +530,24 @@ def replay_step_scheduler(
     goal`` under the fixed scheduler (states outside ``safe + goal``
     are blocked at zero), mirroring :func:`repro.core.until.timed_until`.
 
-    Compressed stores are replayed *streaming* -- rows are decoded in
-    the sweep's own backward order, so replay memory matches extraction
-    memory.  The result carries ``objective="replay"`` (no optimisation
-    happened) and a :class:`~repro.obs.NumericalCertificate` with
-    algorithm ``"ctmdp.replay"``; induced-chain validation
+    This is the analytic counterpart of simulating the scheduler: if
+    ``decisions`` came from an optimal solve with the same ``epsilon``,
+    the replayed values reproduce the optimal values within the two
+    certified bounds.  Compressed stores are replayed *streaming* --
+    rows are decoded in the sweep's own backward order, so replay
+    memory matches extraction memory.  The result carries
+    ``objective="replay"`` (no optimisation happened) and a
+    :class:`~repro.obs.NumericalCertificate` with algorithm
+    ``"ctmdp.replay"``; induced-chain validation
     (:mod:`repro.policy.validate`) consumes both.
     """
-    if t < 0.0:
-        raise ModelError("time bound must be non-negative")
-    prepared = PreparedTimedReachability(ctmdp, goal)
-    blocked: np.ndarray | None = None
+    mask = state_mask(ctmdp.num_states, goal)
     if safe is not None:
-        blocked = ~(_goal_mask(ctmdp, safe) | prepared.mask)
-    if t == 0.0 or not prepared._ready:
-        return ReachabilityResult(
-            values=prepared.mask.astype(np.float64),
-            iterations=0,
-            uniform_rate=prepared.rate if prepared._ready else 0.0,
-            time_bound=t,
-            objective="replay",
-            poisson=fox_glynn(0.0, min(epsilon, 0.5)),
-            certificate=NumericalCertificate.trivial("ctmdp.replay", epsilon),
-        )
+        safe = state_mask(ctmdp.num_states, safe, "safe")
+    trivial = _trivial_result(ctmdp, mask, t, epsilon, "replay", "ctmdp.replay")
+    if trivial is not None:
+        return trivial
+    prepared = PreparedTimedReachability(ctmdp, mask, safe=safe)
     if not isinstance(decisions, CompressedDecisions):
         decisions = np.asarray(decisions)
         if decisions.ndim != 2 or decisions.shape[1] != ctmdp.num_states:
@@ -677,34 +564,20 @@ def replay_step_scheduler(
         raise ModelError("decisions must record at least one step")
 
     fg = fox_glynn(prepared.rate * t, epsilon)
-    psi = fg.probabilities()
-    segments = prepared.segments
-    nonempty_states = np.flatnonzero(segments.nonempty)
-    goal_idx = prepared.goal_idx
-    prob = prepared.prob
-    prob_to_goal = prepared.prob_to_goal
-
-    q = np.zeros(ctmdp.num_states)
-    rows_iter = iter(_replay_rows(decisions, fg.right))
-    for i in range(fg.right, 0, -1):
-        psi_i = psi[i - fg.left] if i >= fg.left else 0.0
-        transition_values = psi_i * prob_to_goal + prob @ q
-        decision_row = next(rows_iter)
-        choice = np.clip(decision_row[nonempty_states], 0, segments.counts - 1)
-        rows = segments.starts + choice
-        new_q = np.zeros(ctmdp.num_states)
-        new_q[segments.nonempty] = transition_values[rows]
-        new_q[goal_idx] = psi_i + q[goal_idx]
-        if blocked is not None:
-            new_q[blocked] = 0.0
-        q = new_q
-
-    values = q.copy()
-    values[goal_idx] = 1.0
-    if blocked is not None:
-        values[blocked] = 0.0
-    residual = max(0.0, float(values.max()) - 1.0, -float(values.min()))
-    np.clip(values, 0.0, 1.0, out=values)
+    values, certificate = poisson_sweep(
+        prepared.prob,
+        prepared.prob_to_goal,
+        fg,
+        epsilon,
+        prepared.goal_idx,
+        algorithm="ctmdp.replay",
+        span="replay.sweep",
+        select=Replay(prepared.segments, _replay_rows(decisions, fg.right)),
+        blocked=prepared.blocked,
+        t=t,
+        states=ctmdp.num_states,
+        lam=prepared.rate * t,
+    )
     return ReachabilityResult(
         values=values,
         iterations=fg.right,
@@ -712,29 +585,8 @@ def replay_step_scheduler(
         time_bound=t,
         objective="replay",
         poisson=fg,
-        certificate=certificate_from_foxglynn(
-            fg, epsilon, "ctmdp.replay", sweep_residual=residual
-        ),
+        certificate=certificate,
     )
-
-
-def evaluate_step_scheduler(
-    ctmdp: CTMDP,
-    goal: Iterable[int] | np.ndarray,
-    t: float,
-    decisions: np.ndarray | CompressedDecisions,
-    epsilon: float = 1e-6,
-) -> np.ndarray:
-    """Exact per-state value of a recorded step scheduler.
-
-    Thin wrapper over :func:`replay_step_scheduler` keeping the
-    historical value-vector return shape.  This is the analytic
-    counterpart of simulating the scheduler: if ``decisions`` came from
-    an optimal solve with the same ``epsilon``, the returned values must
-    reproduce the optimal values -- the regression anchor for the
-    scheduler-extraction direction fix.
-    """
-    return replay_step_scheduler(ctmdp, goal, t, decisions, epsilon=epsilon).values
 
 
 def unbounded_reachability(
@@ -759,52 +611,23 @@ def unbounded_reachability(
     the iteration entirely.
     """
     validate_objective(objective)
-    mask = _goal_mask(ctmdp, goal)
+    mask = state_mask(ctmdp.num_states, goal)
     if not mask.any():
         return np.zeros(ctmdp.num_states)
 
-    zero: np.ndarray | None = None
-    one: np.ndarray | None = None
+    zero = one = None
     if precompute:
-        from repro.graph.qualitative import (
-            prob0_exists,
-            prob0_forall,
-            prob1_exists,
-            prob1_forall,
-        )
-        from repro.graph.structure import TransitionGraph
+        from repro.graph.qualitative import unbounded_clamps
 
-        graph = TransitionGraph.from_ctmdp(ctmdp)
-        if objective == "max":
-            zero = prob0_forall(graph, mask)
-            one = prob1_exists(graph, mask)
-        else:
-            zero = np.asarray(prob0_exists(graph, mask))
-            one = prob1_forall(graph, mask)
+        zero, one = unbounded_clamps(ctmdp, mask, objective)
 
-    prob = ctmdp.probability_matrix()
-    segments = SegmentIndex.from_choice_ptr(ctmdp.choice_ptr)
-
-    with sweep_span(
-        "vi.sweep", objective=objective, states=ctmdp.num_states, kind="unbounded"
-    ) as steps:
-        record_steps = steps.enabled
-        q = mask.astype(np.float64)
-        if one is not None:
-            q[one] = 1.0
-        for _ in range(max_iterations):
-            step_started = perf_counter() if record_steps else 0.0
-            transition_values = prob @ q
-            new_q = np.zeros(ctmdp.num_states)
-            new_q[segments.nonempty] = segment_reduce(transition_values, segments, objective)
-            new_q[mask] = 1.0
-            if one is not None:
-                new_q[one] = 1.0
-            if zero is not None:
-                new_q[zero] = 0.0
-            if record_steps:
-                steps.record(perf_counter() - step_started)
-            if np.max(np.abs(new_q - q)) < tol:
-                return new_q
-            q = new_q
-    return q
+    return value_iteration(
+        ctmdp.probability_matrix(),
+        mask,
+        max_iterations,
+        segments=SegmentIndex.from_choice_ptr(ctmdp.choice_ptr),
+        objective=objective,
+        tol=tol,
+        zero=zero,
+        one=one,
+    )

@@ -21,9 +21,8 @@ import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg
 
+from repro.core.sweep import state_mask
 from repro.ctmc.model import CTMC
-from repro.ctmc.reachability import goal_mask as _goal_mask
-from repro.errors import ModelError
 
 __all__ = ["expected_hitting_time"]
 
@@ -63,12 +62,7 @@ def expected_hitting_time(
         If the goal specification is invalid.
     """
     n = ctmc.num_states
-    if isinstance(goal, np.ndarray) and goal.dtype == bool:
-        mask = goal
-        if mask.shape != (n,):
-            raise ModelError(f"goal mask must have shape ({n},)")
-    else:
-        mask = _goal_mask(n, goal)
+    mask = state_mask(n, goal)
     if not mask.any():
         return np.full(n, np.inf)
 

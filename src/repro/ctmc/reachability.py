@@ -20,11 +20,12 @@ from typing import Iterable
 import numpy as np
 import scipy.sparse as sp
 
+from repro.core.sweep import poisson_sweep, state_mask
 from repro.ctmc.model import CTMC
 from repro.ctmc.uniformization import uniformized_jump_matrix
 from repro.errors import ModelError
 from repro.numerics.foxglynn import fox_glynn
-from repro.obs import NumericalCertificate, certificate_from_foxglynn
+from repro.obs import NumericalCertificate
 
 __all__ = [
     "PreparedCTMCReachability",
@@ -37,14 +38,8 @@ __all__ = [
 ]
 
 
-def goal_mask(num_states: int, goal: Iterable[int]) -> np.ndarray:
-    """Boolean mask over states from an iterable of goal-state indices."""
-    mask = np.zeros(num_states, dtype=bool)
-    for state in goal:
-        if not 0 <= state < num_states:
-            raise ModelError(f"goal state {state} out of range 0..{num_states - 1}")
-        mask[state] = True
-    return mask
+#: Public name of the shared goal-set parser (indices or a boolean mask).
+goal_mask = state_mask
 
 
 def timed_reachability(
@@ -107,12 +102,7 @@ class PreparedCTMCReachability:
         rate: float | None = None,
     ) -> None:
         n = ctmc.num_states
-        if isinstance(goal, np.ndarray) and goal.dtype == bool:
-            mask = goal
-        else:
-            mask = goal_mask(n, goal)
-        if mask.shape != (n,):
-            raise ModelError(f"goal mask must have shape ({n},)")
+        mask = state_mask(n, goal)
         self.ctmc = ctmc
         self.mask = mask
         self.num_states = n
@@ -131,6 +121,7 @@ class PreparedCTMCReachability:
         self.p, self.e = uniformized_jump_matrix(absorbed, rate)
         goal_vec = mask.astype(np.float64)
         self.p_goal = self.p @ goal_vec
+        self.goal_idx = np.flatnonzero(mask)
         self._ready = True
 
     def solve(self, t: float, epsilon: float = 1e-10) -> np.ndarray:
@@ -143,30 +134,23 @@ class PreparedCTMCReachability:
             )
             return self.mask.astype(np.float64)
 
-        mask = self.mask
-        p = self.p
         fg = fox_glynn(self.e * t, epsilon)
-        psi = fg.probabilities()
-
-        # q accumulates, backwards over i = right..1, the probability to be
-        # absorbed in B within the remaining jumps (cf. Algorithm 1 without
-        # the max over transitions).
-        q = np.zeros(self.num_states)
-        p_goal = self.p_goal
-        for i in range(fg.right, 0, -1):
-            psi_i = psi[i - fg.left] if i >= fg.left else 0.0
-            q_next = q
-            q = psi_i * p_goal + p @ q_next
-            # Goal states accumulate the remaining Poisson mass and are never
-            # left (their rows in p are pure self-loops, but the explicit
-            # update keeps the recursion exact also at i = right).
-            q[mask] = psi_i + q_next[mask]
-        q[mask] = 1.0
-        residual = max(0.0, float(q.max()) - 1.0, -float(q.min()))
-        self.last_certificate = certificate_from_foxglynn(
-            fg, epsilon, "ctmc.reachability", sweep_residual=residual
+        # Algorithm 1 without the optimisation: the goal rows of p are
+        # pure self-loops, and the kernel pins goal states to the
+        # accumulated Poisson tail at every step.
+        values, self.last_certificate = poisson_sweep(
+            self.p,
+            self.p_goal,
+            fg,
+            epsilon,
+            self.goal_idx,
+            algorithm="ctmc.reachability",
+            span="ctmc.sweep",
+            t=t,
+            states=self.num_states,
+            lam=self.e * t,
         )
-        return np.clip(q, 0.0, 1.0)
+        return values
 
 
 def timed_reachability_curve(
@@ -192,10 +176,7 @@ def timed_reachability_curve(
     if any(t < 0.0 for t in ts):
         raise ModelError("time bounds must be non-negative")
     n = ctmc.num_states
-    if isinstance(goal, np.ndarray) and goal.dtype == bool:
-        mask = goal
-    else:
-        mask = goal_mask(n, goal)
+    mask = state_mask(n, goal)
     start = ctmc.initial if initial is None else initial
     if mask[start]:
         return np.ones(len(ts))
@@ -295,10 +276,7 @@ def interval_reachability_analysis(
     from repro.ctmc.uniformization import transient_analysis
 
     n = ctmc.num_states
-    if isinstance(goal, np.ndarray) and goal.dtype == bool:
-        mask = goal
-    else:
-        mask = goal_mask(n, goal)
+    mask = state_mask(n, goal)
     start = ctmc.initial if initial is None else initial
     pi0 = np.zeros(n)
     pi0[start] = 1.0

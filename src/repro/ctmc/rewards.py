@@ -24,9 +24,9 @@ import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg
 
+from repro.core.sweep import state_mask
 from repro.ctmc.hitting import _can_reach
 from repro.ctmc.model import CTMC
-from repro.ctmc.reachability import goal_mask as _goal_mask
 from repro.ctmc.uniformization import steady_state_distribution, transient_distribution
 from repro.errors import ModelError
 
@@ -75,12 +75,7 @@ def accumulated_reward_until(
     arr = _check_rewards(rewards, n)
     if (arr < 0.0).any():
         raise ModelError("reward rates must be non-negative")
-    if isinstance(goal, np.ndarray) and goal.dtype == bool:
-        mask = goal
-        if mask.shape != (n,):
-            raise ModelError(f"goal mask must have shape ({n},)")
-    else:
-        mask = _goal_mask(n, goal)
+    mask = state_mask(n, goal)
     result = np.full(n, np.inf)
     result[mask] = 0.0
     if not mask.any():

@@ -14,9 +14,9 @@ from typing import Iterable
 import numpy as np
 import scipy.sparse as sp
 
+from repro.core.sweep import state_mask
 from repro.ctmc.model import CTMC
-from repro.ctmc.reachability import PreparedCTMCReachability, goal_mask as _mask
-from repro.errors import ModelError
+from repro.ctmc.reachability import PreparedCTMCReachability
 from repro.obs import NumericalCertificate
 
 __all__ = ["timed_until", "timed_until_with_certificate"]
@@ -31,10 +31,8 @@ def timed_until_with_certificate(
 ) -> tuple[np.ndarray, NumericalCertificate | None]:
     """Like :func:`timed_until`, also returning the solve's certificate."""
     n = ctmc.num_states
-    goal_arr = goal if isinstance(goal, np.ndarray) and goal.dtype == bool else _mask(n, goal)
-    safe_arr = safe if isinstance(safe, np.ndarray) and safe.dtype == bool else _mask(n, safe)
-    if goal_arr.shape != (n,) or safe_arr.shape != (n,):
-        raise ModelError("safe/goal masks must cover the state space")
+    goal_arr = state_mask(n, goal)
+    safe_arr = state_mask(n, safe, "safe")
     blocked = ~(safe_arr | goal_arr)
 
     # Make blocked states absorbing, then run plain timed reachability.

@@ -42,6 +42,7 @@ __all__ = [
     "prob1_exists",
     "prob1_forall",
     "qualitative_analysis",
+    "unbounded_clamps",
     "as_state_mask",
 ]
 
@@ -241,3 +242,18 @@ def qualitative_analysis(
         prob1_exists=prob1_exists(graph, goal, safe),
         prob1_forall=prob1_forall(graph, goal, safe),
     )
+
+
+def unbounded_clamps(
+    model: object, goal: np.ndarray, objective: str
+) -> tuple[np.ndarray, np.ndarray]:
+    """The ``(zero, one)`` sets that decide *unbounded* reachability.
+
+    For ``max`` these are Prob0A and Prob1E, for ``min`` Prob0E and
+    Prob1A: membership fixes the unbounded value exactly, so value
+    iteration may clamp both (the timed solvers may clamp only zero).
+    """
+    graph = graph_of(model)
+    if objective == "max":
+        return prob0_forall(graph, goal), prob1_exists(graph, goal)
+    return np.asarray(prob0_exists(graph, goal)), prob1_forall(graph, goal)

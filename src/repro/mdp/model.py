@@ -16,6 +16,7 @@ from typing import Iterable, Mapping
 import numpy as np
 import scipy.sparse as sp
 
+from repro.core.sweep import state_mask, value_iteration
 from repro.errors import ModelError
 
 __all__ = ["DTMC", "DTMDP"]
@@ -59,16 +60,15 @@ class DTMC:
             vec = vec @ self.probabilities
         return vec
 
-    def bounded_reachability(self, goal: Iterable[int], steps: int) -> np.ndarray:
+    def bounded_reachability(
+        self, goal: Iterable[int] | np.ndarray, steps: int
+    ) -> np.ndarray:
         """Probability, per state, to visit ``goal`` within ``steps`` steps."""
-        mask = np.zeros(self.num_states, dtype=bool)
-        for g in goal:
-            mask[g] = True
-        q = mask.astype(np.float64)
-        for _ in range(steps):
-            q = self.probabilities @ q
-            q[mask] = 1.0
-        return q
+        if steps < 0:
+            raise ModelError("step bound must be non-negative")
+        return value_iteration(
+            self.probabilities, state_mask(self.num_states, goal), steps
+        )
 
 
 class DTMDP:

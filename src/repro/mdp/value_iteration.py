@@ -2,35 +2,22 @@
 
 Step-bounded and unbounded reachability.  The step-bounded variant is
 the discrete skeleton of Algorithm 1: the continuous-time algorithm is
-this recursion with each step weighted by a Poisson probability.  The
-per-state optimisation is the shared segmented reduction of
-:mod:`repro.core.segments`.
+this recursion with each step weighted by a Poisson probability.  Both
+run the shared unweighted kernel :func:`repro.core.sweep.value_iteration`.
 """
 
 from __future__ import annotations
 
-from time import perf_counter
 from typing import Iterable
 
 import numpy as np
 
-from repro.core.segments import SegmentIndex, segment_reduce, validate_objective
+from repro.core.segments import SegmentIndex, validate_objective
+from repro.core.sweep import state_mask, value_iteration
 from repro.errors import ModelError
 from repro.mdp.model import DTMDP
-from repro.obs import sweep_span
 
 __all__ = ["bounded_reachability", "unbounded_reachability"]
-
-
-def _mask(mdp: DTMDP, goal: Iterable[int] | np.ndarray) -> np.ndarray:
-    if isinstance(goal, np.ndarray) and goal.dtype == bool:
-        if goal.shape != (mdp.num_states,):
-            raise ModelError("goal mask shape mismatch")
-        return goal
-    mask = np.zeros(mdp.num_states, dtype=bool)
-    for g in goal:  # type: ignore[union-attr]
-        mask[g] = True
-    return mask
 
 
 def bounded_reachability(
@@ -44,25 +31,13 @@ def bounded_reachability(
     validate_objective(objective)
     if steps < 0:
         raise ModelError("step bound must be non-negative")
-    mask = _mask(mdp, goal)
-    segments = SegmentIndex.from_choice_ptr(mdp.choice_ptr)
-
-    with sweep_span(
-        "vi.sweep", objective=objective, states=mdp.num_states,
-        iterations=steps, kind="bounded",
-    ) as recorder:
-        record_steps = recorder.enabled
-        q = mask.astype(np.float64)
-        for _ in range(steps):
-            step_started = perf_counter() if record_steps else 0.0
-            values = mdp.probabilities @ q
-            new_q = np.zeros(mdp.num_states)
-            new_q[segments.nonempty] = segment_reduce(values, segments, objective)
-            new_q[mask] = 1.0
-            q = new_q
-            if record_steps:
-                recorder.record(perf_counter() - step_started)
-    return q
+    return value_iteration(
+        mdp.probabilities,
+        state_mask(mdp.num_states, goal),
+        steps,
+        segments=SegmentIndex.from_choice_ptr(mdp.choice_ptr),
+        objective=objective,
+    )
 
 
 def unbounded_reachability(
@@ -81,48 +56,21 @@ def unbounded_reachability(
     slowest-converging states from the iteration.
     """
     validate_objective(objective)
-    mask = _mask(mdp, goal)
-    segments = SegmentIndex.from_choice_ptr(mdp.choice_ptr)
+    mask = state_mask(mdp.num_states, goal)
 
-    zero: np.ndarray | None = None
-    one: np.ndarray | None = None
+    zero = one = None
     if precompute:
-        from repro.graph.qualitative import (
-            prob0_exists,
-            prob0_forall,
-            prob1_exists,
-            prob1_forall,
-        )
-        from repro.graph.structure import TransitionGraph
+        from repro.graph.qualitative import unbounded_clamps
 
-        graph = TransitionGraph.from_dtmdp(mdp)
-        if objective == "max":
-            zero = prob0_forall(graph, mask)
-            one = prob1_exists(graph, mask)
-        else:
-            zero = np.asarray(prob0_exists(graph, mask))
-            one = prob1_forall(graph, mask)
+        zero, one = unbounded_clamps(mdp, mask, objective)
 
-    with sweep_span(
-        "vi.sweep", objective=objective, states=mdp.num_states, kind="unbounded"
-    ) as recorder:
-        record_steps = recorder.enabled
-        q = mask.astype(np.float64)
-        if one is not None:
-            q[one] = 1.0
-        for _ in range(max_iterations):
-            step_started = perf_counter() if record_steps else 0.0
-            values = mdp.probabilities @ q
-            new_q = np.zeros(mdp.num_states)
-            new_q[segments.nonempty] = segment_reduce(values, segments, objective)
-            new_q[mask] = 1.0
-            if one is not None:
-                new_q[one] = 1.0
-            if zero is not None:
-                new_q[zero] = 0.0
-            if record_steps:
-                recorder.record(perf_counter() - step_started)
-            if np.max(np.abs(new_q - q)) < tol:
-                return new_q
-            q = new_q
-    return q
+    return value_iteration(
+        mdp.probabilities,
+        mask,
+        max_iterations,
+        segments=SegmentIndex.from_choice_ptr(mdp.choice_ptr),
+        objective=objective,
+        tol=tol,
+        zero=zero,
+        one=one,
+    )

@@ -67,18 +67,20 @@ _FP_PER_STEP = 16.0 * float(np.finfo(np.float64).eps)
 def poisson_tail_mass(lam: float, left: int, right: int) -> float:
     """Exact Poisson mass outside the window ``[left, right]``.
 
-    Evaluated through the regularised incomplete gamma functions (via
-    scipy), so it resolves tails far below the ``1 - cdf`` cancellation
-    floor of ~1e-16.  This is the *actual* dropped mass, which the
-    nearly-sharp small-``lam`` finder keeps well under the a-priori
-    admissible ``epsilon``.
+    Evaluated through the regularised incomplete gamma functions
+    (``scipy.special.pdtr``/``pdtrc``, the routines ``scipy.stats.poisson``
+    calls for its cdf/sf, without that module's import cost), so it
+    resolves tails far below the ``1 - cdf`` cancellation floor of
+    ~1e-16.  This is the *actual* dropped mass, which the nearly-sharp
+    small-``lam`` finder keeps well under the a-priori admissible
+    ``epsilon``.
     """
     if lam <= 0.0:
         return 0.0
-    from scipy.stats import poisson
+    from scipy.special import pdtr, pdtrc
 
-    below = float(poisson.cdf(left - 1, lam)) if left > 0 else 0.0
-    above = float(poisson.sf(right, lam))
+    below = float(pdtr(left - 1, lam)) if left > 0 else 0.0
+    above = float(pdtrc(right, lam))
     return max(0.0, below) + max(0.0, above)
 
 

@@ -41,6 +41,7 @@ import numpy as np
 
 from repro.core.ctmdp import CTMDP
 from repro.core.reachability import replay_step_scheduler
+from repro.core.sweep import state_mask
 from repro.errors import ModelError
 from repro.obs.certificate import NumericalCertificate, record_certificate
 from repro.policy.artifact import PolicyArtifact, model_digest
@@ -269,7 +270,7 @@ def validate_artifact(
     cross_check = None
     if stationary and safe is None:
         cross_check = _stationary_cross_check(
-            ctmdp, np.asarray(_as_mask(ctmdp, goal)), artifact, initial, tolerance
+            ctmdp, state_mask(ctmdp.num_states, goal), artifact, initial, tolerance
         )
 
     if metrics is not None:
@@ -302,8 +303,3 @@ def validate_artifact(
         replay_seconds=replay_seconds,
     )
 
-
-def _as_mask(ctmdp: CTMDP, goal: Iterable[int] | np.ndarray) -> np.ndarray:
-    from repro.core.reachability import _goal_mask
-
-    return _goal_mask(ctmdp, goal)

@@ -6,7 +6,7 @@ from hypothesis import strategies as st
 
 from repro.core.ctmdp import CTMDP
 from repro.core.reachability import (
-    evaluate_step_scheduler,
+    replay_step_scheduler,
     timed_reachability,
     unbounded_reachability,
 )
@@ -136,9 +136,9 @@ class TestInvariants:
             # The wrapper must accept exactly this array shape.
             scheduler = greedy_scheduler_from_decisions(result.decisions)
             assert len(scheduler.decisions) == result.iterations
-            replayed = evaluate_step_scheduler(
+            replayed = replay_step_scheduler(
                 ctmdp, goal, t, result.decisions, epsilon=1e-10
-            )
+            ).values
             np.testing.assert_allclose(replayed, result.values, atol=1e-9)
 
     @given(data=models_with_goals(), t=st.floats(0.1, 3.0))

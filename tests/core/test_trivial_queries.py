@@ -76,6 +76,17 @@ class TestReachabilityEarlyReturns:
         result = timed_reachability(uniform_model(), [1], 0.0)
         np.testing.assert_array_equal(result.values, [0.0, 1.0])
 
+    def test_t_zero_nonempty_goal_on_non_uniform_model_does_not_raise(self):
+        """The one-shot front end answers the trivial query before
+        preparing, exactly like ``timed_until`` does."""
+        model = non_uniform_model()
+        result = timed_reachability(model, [1], 0.0)
+        np.testing.assert_array_equal(result.values, [0.0, 1.0])
+        assert result.uniform_rate == 0.0
+        assert result.iterations == 0
+        until = timed_until(model, [0, 1], [1], 0.0)
+        np.testing.assert_array_equal(until.values, result.values)
+
 
 class TestUntilEarlyReturns:
     def test_t_zero_on_non_uniform_model_does_not_raise(self):

@@ -77,6 +77,16 @@ class TestCoxian:
         ph = PhaseType.coxian([2.0], [1.0])
         assert ph.cdf(1.0) == pytest.approx(1.0 - math.exp(-2.0), abs=1e-12)
 
+    def test_equal_exit_rates_cdf_and_pdf(self):
+        """Both stages leave at rate 3.375: a defective sub-generator,
+        where ``scipy.linalg.expm``'s triangular shortcut is inexact."""
+        ph = PhaseType.coxian([3.375, 3.375], [1.0 / 3.0, 1.0])
+        # Stage 1 moves on at rate 2.25 and completes at rate 1.125.
+        survival = math.exp(-3.375) * (1.0 + 2.25)
+        assert ph.cdf(1.0) == pytest.approx(1.0 - survival, abs=1e-12)
+        density = math.exp(-3.375) * (1.125 + 2.25 * 3.375)
+        assert ph.pdf(1.0) == pytest.approx(density, abs=1e-12)
+
     def test_mean_two_stage(self):
         # Stage 1 rate 2, continues w.p. 0.5 into stage 2 rate 1:
         # mean = 1/2 + 0.5 * 1.

@@ -180,6 +180,39 @@ class TestCertificateMechanics:
             poisson_tail_mass(10.0, 0, 0), 1.0 - math.exp(-10.0), rel_tol=1e-12
         )
 
+    @pytest.mark.parametrize("lam", [1e-3, 0.1, 1.0, 10.0, 100.0, 1000.0, 5000.0, 40000.0])
+    @pytest.mark.parametrize("epsilon", [1e-3, 1e-6, 1e-10])
+    def test_poisson_tail_mass_equals_scipy_stats(self, lam, epsilon):
+        """The ``scipy.special`` tails are bitwise the ``scipy.stats`` ones."""
+        from scipy.stats import poisson
+
+        fg = fox_glynn(lam, epsilon)
+        for left, right in [(fg.left, fg.right), (0, fg.right), (0, 0), (1, 3)]:
+            below = float(poisson.cdf(left - 1, lam)) if left > 0 else 0.0
+            above = float(poisson.sf(right, lam))
+            expected = max(0.0, below) + max(0.0, above)
+            assert poisson_tail_mass(lam, left, right) == expected
+
+    def test_first_solve_does_not_import_scipy_stats(self):
+        """``scipy.stats`` costs a third of a second to import; a fresh
+        process that prepares and solves must not pay it."""
+        import subprocess
+        import sys
+
+        code = (
+            "import sys\n"
+            "from repro.core.reachability import PreparedTimedReachability\n"
+            "from repro.models.ftwc_direct import build_ctmdp\n"
+            "model = build_ctmdp(1)\n"
+            "result = PreparedTimedReachability(model.ctmdp, model.goal_mask).solve(100.0)\n"
+            "assert result.certificate.healthy\n"
+            "print('scipy.stats' in sys.modules)\n"
+        )
+        completed = subprocess.run(
+            [sys.executable, "-c", code], capture_output=True, text=True, check=True
+        )
+        assert completed.stdout.strip() == "False"
+
 
 class TestCertificatesInEngineAndLogic:
     def test_batch_results_carry_certificates(self):

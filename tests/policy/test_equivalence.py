@@ -1,10 +1,11 @@
-"""Compressed vs dense scheduler extraction: bitwise equivalence.
+"""Compressed scheduler extraction vs the historical dense recorder.
 
-The compressed streaming writer is the default recording format; the
-dense matrix stays available behind ``scheduler_format="dense"``
-precisely so these tests can assert the two never diverge -- same
-decisions, same replays, same values, across objectives, horizons and
-the trivial early-return paths.
+The library records decisions only through the compressed streaming
+writer.  The dense ``iterations x states`` recorder it replaced lives on
+as the test oracle in :mod:`tests.core._sweep_reference`
+(``scheduler_format="dense"`` of the parent loops), and these tests
+assert the two never diverge -- same decisions, same replays, same
+values, across objectives, horizons and the trivial early-return paths.
 """
 
 import numpy as np
@@ -12,15 +13,14 @@ import pytest
 
 from repro.core.reachability import (
     PreparedTimedReachability,
-    evaluate_step_scheduler,
     replay_step_scheduler,
     timed_reachability,
 )
 from repro.core.scheduler import greedy_scheduler_from_decisions
 from repro.core.until import timed_until
-from repro.errors import ModelError
 from repro.models import ftwc_direct
 from repro.policy.store import CompressedDecisions
+from tests.core import _sweep_reference as reference
 
 
 @pytest.fixture(scope="module")
@@ -33,10 +33,8 @@ class TestReachabilityExtraction:
     @pytest.mark.parametrize("t", [10.0, 100.0])
     def test_compressed_equals_dense(self, ftwc, objective, t):
         prepared = PreparedTimedReachability(ftwc.ctmdp, ftwc.goal_mask)
-        compressed = prepared.solve(
-            t, objective=objective, record_scheduler=True
-        )
-        dense = prepared.solve(
+        compressed = prepared.solve(t, objective=objective, record_scheduler=True)
+        dense = reference.PreparedTimedReachability(ftwc.ctmdp, ftwc.goal_mask).solve(
             t, objective=objective, record_scheduler=True, scheduler_format="dense"
         )
         assert isinstance(compressed.decisions, CompressedDecisions)
@@ -48,34 +46,25 @@ class TestReachabilityExtraction:
         result = timed_reachability(
             ftwc.ctmdp, ftwc.goal_mask, 500.0, record_scheduler=True
         )
-        reference = timed_reachability(
+        dense = reference.timed_reachability(
             ftwc.ctmdp, ftwc.goal_mask, 500.0, record_scheduler=True,
             scheduler_format="dense",
         )
         assert result.iterations == len(result.decisions)
-        assert np.array_equal(result.decisions.dense(), reference.decisions)
+        assert np.array_equal(result.decisions.dense(), dense.decisions)
         # A long FTWC run is where compression pays: >=10x smaller.
         assert result.decisions.compression_ratio >= 10.0
 
     def test_trivial_horizons_record_nothing(self, ftwc):
-        for scheduler_format in ("compressed", "dense"):
-            result = timed_reachability(
-                ftwc.ctmdp, ftwc.goal_mask, 0.0, record_scheduler=True,
-                scheduler_format=scheduler_format,
-            )
-            assert result.decisions is None
-            empty = timed_reachability(
-                ftwc.ctmdp, np.zeros(ftwc.ctmdp.num_states, dtype=bool), 10.0,
-                record_scheduler=True, scheduler_format=scheduler_format,
-            )
-            assert empty.decisions is None
-
-    def test_unknown_format_is_rejected(self, ftwc):
-        with pytest.raises(ModelError, match="scheduler_format"):
-            timed_reachability(
-                ftwc.ctmdp, ftwc.goal_mask, 1.0, record_scheduler=True,
-                scheduler_format="sparse",
-            )
+        result = timed_reachability(
+            ftwc.ctmdp, ftwc.goal_mask, 0.0, record_scheduler=True
+        )
+        assert result.decisions is None
+        empty = timed_reachability(
+            ftwc.ctmdp, np.zeros(ftwc.ctmdp.num_states, dtype=bool), 10.0,
+            record_scheduler=True,
+        )
+        assert empty.decisions is None
 
 
 class TestUntilExtraction:
@@ -86,7 +75,7 @@ class TestUntilExtraction:
             ftwc.ctmdp, safe, ftwc.goal_mask, 50.0, objective=objective,
             record_scheduler=True,
         )
-        dense = timed_until(
+        dense = reference.timed_until(
             ftwc.ctmdp, safe, ftwc.goal_mask, 50.0, objective=objective,
             record_scheduler=True, scheduler_format="dense",
         )
@@ -117,19 +106,19 @@ class TestReplay:
         )
         assert deviation <= bound + 1e-12
 
-    def test_evaluate_step_scheduler_accepts_compressed(self, ftwc):
+    def test_replay_accepts_greedy_scheduler_decisions(self, ftwc):
         t = 25.0
         result = timed_reachability(
             ftwc.ctmdp, ftwc.goal_mask, t, record_scheduler=True
         )
         scheduler = greedy_scheduler_from_decisions(result.decisions)
-        values = evaluate_step_scheduler(
+        values = replay_step_scheduler(
             ftwc.ctmdp, ftwc.goal_mask, t, scheduler.decisions
-        )
-        reference = evaluate_step_scheduler(
+        ).values
+        expected = replay_step_scheduler(
             ftwc.ctmdp, ftwc.goal_mask, t, result.decisions.dense()
-        )
-        assert np.array_equal(values, reference)
+        ).values
+        assert np.array_equal(values, expected)
 
     def test_replay_trivial_horizon(self, ftwc):
         result = replay_step_scheduler(
