@@ -7,10 +7,11 @@ bound at precision 1e-6.
 
 The paper's most expensive cell (N=128, t=30000 h) took 20867 s on the
 authors' Java prototype.  Here ``build_ctmdp(128)`` takes about 2 s and
-one N=128 sweep step about 27 ms on a 2-vCPU x86-64 box, so the cell's
-77,324 steps are estimated at about 35 minutes; it is not part of the
-default benchmark run -- the iteration count it would take is still
-reported exactly (it only depends on ``E * t``), see
+one N=128 sweep step about 1 ms on a 2-vCPU x86-64 box (only the rows
+of non-goal states are swept), so the cell's 77,323 steps take about
+75 s (``repro table1 --ns 128 --solve 30000``, see EXPERIMENTS.md);
+it is not part of the default benchmark run -- the iteration count it
+takes is still reported exactly (it only depends on ``E * t``), see
 ``repro.analysis.experiments.run_table1``.  Generation runs at full
 size, up to N=128.
 """

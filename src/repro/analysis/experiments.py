@@ -95,9 +95,9 @@ def table1_row(
         and probability columns).  Defaults to all of ``time_bounds``;
         pass a subset to skip the long horizons for large ``n`` -- the
         paper's N=128/30000 h cell took almost six hours on the authors'
-        machine; here one N=128 sweep step takes about 27 ms on a 2-vCPU
-        x86-64 box, so its 77,324 steps are estimated at about 35
-        minutes (see EXPERIMENTS.md).
+        machine; here one N=128 sweep step takes about 1 ms on a 2-vCPU
+        x86-64 box, and the cell's 77,323 steps took 74 s (see
+        EXPERIMENTS.md).
     epsilon:
         Truncation precision (the paper uses 1e-6).
     engine:
@@ -222,7 +222,7 @@ def run_figure4(
 
     The paper plots N=4 and N=128; the default large panel here is N=16
     so the figure regenerates quickly -- pass ``large_n=128`` for the
-    full-size run, whose CTMDP sweeps cost about 27 ms per step on a
+    full-size run, whose CTMDP sweeps cost about 1 ms per step on a
     2-vCPU x86-64 box (1,509 steps at t=500 h).
     """
     engine = engine if engine is not None else QueryEngine()

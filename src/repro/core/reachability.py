@@ -30,10 +30,12 @@ independently of the scheduler -- which is the reason the whole
 Implementation notes (cf. Section 4.2): the rate matrix is stored as a
 ``T x S`` sparse matrix with one row per transition; one backward step
 is a sparse matrix-vector product followed by a segmented optimum over
-each state's contiguous block of transition rows.  The loop itself is
-the shared kernel :func:`repro.core.sweep.poisson_sweep`; this module
-prepares its inputs (plain, until, precomputed and replay) and packages
-its output.
+each state's contiguous block of transition rows.  Only the rows of
+the states outside ``B`` (and, for until, outside the blocked set) are
+evaluated: the goal states' values are the Poisson tail whatever their
+rows say.  The loop itself is the shared kernel
+:func:`repro.core.sweep.poisson_sweep`; this module prepares its inputs
+(plain, until, precomputed and replay) and packages its output.
 """
 
 from __future__ import annotations
@@ -47,11 +49,13 @@ from repro.core.ctmdp import CTMDP
 from repro.core.segments import SegmentIndex, validate_objective
 from repro.core.sweep import (
     DecisionRecorder,
+    LiveRows,
     Optimise,
     Replay,
     finish_sweep,
     poisson_sweep,
     state_mask,
+    state_rows,
     value_iteration,
 )
 from repro.errors import ModelError, NonUniformError
@@ -166,10 +170,12 @@ class PreparedTimedReachability:
 
     The expensive, time-bound-independent part of Algorithm 1 -- the
     row-stochastic ``T x S`` probability matrix, the per-transition
-    goal-hitting probabilities and the segment bookkeeping for the
-    per-state optimisation -- is computed once in the constructor; each
-    :meth:`solve` call then only performs the Fox-Glynn computation for
-    its own ``(t, epsilon)`` and the backward iteration.  A whole time
+    goal-hitting probabilities, the segment bookkeeping for the
+    per-state optimisation and the restriction of all three to the
+    rows the sweep keeps (:class:`~repro.core.sweep.LiveRows`) -- is
+    computed once in the constructor; each :meth:`solve` call then only
+    performs the Fox-Glynn computation for its own ``(t, epsilon)`` and
+    the backward iteration.  A whole time
     sweep over one ``(model, goal)`` pair therefore shares a single
     setup, which is what the batched query engine exploits.
 
@@ -224,7 +230,20 @@ class PreparedTimedReachability:
         # States without transitions keep value 0 (they cannot reach B).
         self.segments = SegmentIndex.from_choice_ptr(ctmdp.choice_ptr)
         self.goal_idx = np.flatnonzero(self.mask)
+        # Only the unpinned states' rows feed a value the sweep keeps.
+        pinned = self.mask if self.blocked is None else self.mask | self.blocked
+        self.live = self._live_rows(~pinned)
         self._ready = True
+
+    def _live_rows(self, live: np.ndarray) -> LiveRows:
+        return LiveRows.build(
+            self.prob,
+            self.prob_to_goal,
+            self.ctmdp.choice_ptr,
+            live,
+            self.mask,
+            self.blocked,
+        )
 
     def _zero_info(self, objective: str) -> tuple[np.ndarray, np.ndarray | None]:
         """The known-zero states of ``objective`` (cached per objective).
@@ -283,21 +302,22 @@ class PreparedTimedReachability:
                 fg, epsilon, t, objective, record_scheduler
             )
         else:
-            recorder = None
+            rows, recorder = self.live, None
             if record_scheduler:
+                # The recorder writes a choice for every nonempty state,
+                # goal states included: sweep every row.
+                rows = self._live_rows(np.ones(self.num_states, dtype=bool))
                 recorder = DecisionRecorder(
-                    np.full(self.num_states, -1, dtype=np.int32), self.segments.nonempty
+                    np.full(self.num_states, -1, dtype=np.int32),
+                    rows.states[rows.segments.nonempty],
                 )
             values, certificate = poisson_sweep(
-                self.prob,
-                self.prob_to_goal,
+                rows,
                 fg,
                 epsilon,
-                self.goal_idx,
                 algorithm=self.algorithm,
                 span=self._span,
-                select=Optimise(self.segments, objective, recorder),
-                blocked=self.blocked,
+                select=Optimise(rows.segments, objective, recorder),
                 t=t,
                 objective=objective,
                 states=self.num_states,
@@ -359,52 +379,50 @@ class PreparedTimedReachability:
             chosen = witness >= 0
             template[chosen] = witness[chosen].astype(np.int32)
 
+        active_rows, segments = state_rows(self.ctmdp.choice_ptr, active)
+        rows = LiveRows(
+            prob=self.prob[active_rows][:, active_idx].tocsr(),
+            prob_to_goal=self.prob_to_goal[active_rows],
+            segments=segments,
+            states=active_idx,
+            goal_pos=np.empty(0, dtype=np.intp),
+            zero_pos=None,
+            goal_idx=self.goal_idx,
+            num_states=num_states,
+            fold_goal=True,
+        )
+        recorder = None
+        if record_scheduler:
+            recorder = DecisionRecorder(template, active_idx[segments.nonempty])
+
         if len(active_idx) == 0:
             # Every state is decided; only the constant decisions remain.
-            decisions = None
-            if record_scheduler:
-                recorder = DecisionRecorder(template, active_idx)
+            if recorder is not None:
                 for _ in range(fg.right):
                     recorder(active_idx)  # nothing to choose: the template row
-                decisions = recorder.finish()
             values, certificate = finish_sweep(
                 np.empty(0),
                 float(np.sum(fg.probabilities())),
                 fg,
                 epsilon,
-                self.goal_idx,
+                rows,
                 algorithm=self.algorithm,
-                swept=active,
             )
-            return values, certificate, decisions
-
-        counts_all = np.diff(np.asarray(self.ctmdp.choice_ptr))
-        row_sources = np.repeat(np.arange(num_states), counts_all)
-        active_rows = np.flatnonzero(active[row_sources])
-        segments = SegmentIndex.from_choice_ptr(
-            np.concatenate(([0], np.cumsum(counts_all[active_idx])))
-        )
-        prob_aa = self.prob[active_rows][:, active_idx].tocsr()
-        recorder = None
-        if record_scheduler:
-            recorder = DecisionRecorder(template, active_idx[segments.nonempty])
-        values, certificate = poisson_sweep(
-            prob_aa,
-            self.prob_to_goal[active_rows],
-            fg,
-            epsilon,
-            self.goal_idx,
-            algorithm=self.algorithm,
-            span=self._span,
-            select=Optimise(segments, objective, recorder),
-            swept=active,
-            t=t,
-            objective=objective,
-            states=num_states,
-            active=len(active_idx),
-            lam=self.rate * t,
-            precompute=True,
-        )
+        else:
+            values, certificate = poisson_sweep(
+                rows,
+                fg,
+                epsilon,
+                algorithm=self.algorithm,
+                span=self._span,
+                select=Optimise(segments, objective, recorder),
+                t=t,
+                objective=objective,
+                states=num_states,
+                active=len(active_idx),
+                lam=self.rate * t,
+                precompute=True,
+            )
         return values, certificate, None if recorder is None else recorder.finish()
 
 
@@ -564,16 +582,14 @@ def replay_step_scheduler(
         raise ModelError("decisions must record at least one step")
 
     fg = fox_glynn(prepared.rate * t, epsilon)
+    rows = prepared.live
     values, certificate = poisson_sweep(
-        prepared.prob,
-        prepared.prob_to_goal,
+        rows,
         fg,
         epsilon,
-        prepared.goal_idx,
         algorithm="ctmdp.replay",
         span="replay.sweep",
-        select=Replay(prepared.segments, _replay_rows(decisions, fg.right)),
-        blocked=prepared.blocked,
+        select=Replay(rows.segments, _replay_rows(decisions, fg.right), rows.states),
         t=t,
         states=ctmdp.num_states,
         lam=prepared.rate * t,

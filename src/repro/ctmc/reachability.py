@@ -20,7 +20,7 @@ from typing import Iterable
 import numpy as np
 import scipy.sparse as sp
 
-from repro.core.sweep import poisson_sweep, state_mask
+from repro.core.sweep import LiveRows, poisson_sweep, state_mask
 from repro.ctmc.model import CTMC
 from repro.ctmc.uniformization import uniformized_jump_matrix
 from repro.errors import ModelError
@@ -119,9 +119,10 @@ class PreparedCTMCReachability:
         absorbed = CTMC(rates=sp.csr_matrix(rates), initial=ctmc.initial)
 
         self.p, self.e = uniformized_jump_matrix(absorbed, rate)
-        goal_vec = mask.astype(np.float64)
-        self.p_goal = self.p @ goal_vec
-        self.goal_idx = np.flatnonzero(mask)
+        p_goal = self.p @ mask.astype(np.float64)
+        # The goal rows of p are pure self-loops whose value the sweep
+        # pins to the accumulated Poisson tail: sweep the other rows only.
+        self.live = LiveRows.build(self.p, p_goal, np.arange(n + 1), ~mask, mask)
         self._ready = True
 
     def solve(self, t: float, epsilon: float = 1e-10) -> np.ndarray:
@@ -135,15 +136,11 @@ class PreparedCTMCReachability:
             return self.mask.astype(np.float64)
 
         fg = fox_glynn(self.e * t, epsilon)
-        # Algorithm 1 without the optimisation: the goal rows of p are
-        # pure self-loops, and the kernel pins goal states to the
-        # accumulated Poisson tail at every step.
+        # Algorithm 1 without the optimisation.
         values, self.last_certificate = poisson_sweep(
-            self.p,
-            self.p_goal,
+            self.live,
             fg,
             epsilon,
-            self.goal_idx,
             algorithm="ctmc.reachability",
             span="ctmc.sweep",
             t=t,

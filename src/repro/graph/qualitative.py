@@ -50,7 +50,12 @@ __all__ = [
 def as_state_mask(
     graph: TransitionGraph, states: Iterable[int] | np.ndarray
 ) -> np.ndarray:
-    """Coerce an index iterable or boolean mask to a boolean state mask."""
+    """Coerce an index iterable or boolean mask to a boolean state mask.
+
+    A boolean mask must have shape ``(num_states,)``; every index must
+    lie in ``0 .. num_states - 1`` (a negative index is rejected, not
+    wrapped around).  Raises :class:`ValueError` otherwise.
+    """
     array = (
         np.asarray(states)
         if isinstance(states, np.ndarray)
@@ -63,8 +68,15 @@ def as_state_mask(
                 f"expected ({graph.num_states},)"
             )
         return array.copy()
+    indices = array.astype(np.int64)
+    outside = (indices < 0) | (indices >= graph.num_states)
+    if outside.any():
+        raise ValueError(
+            f"state index {indices[outside][0]} out of range "
+            f"0..{graph.num_states - 1}"
+        )
     mask = np.zeros(graph.num_states, dtype=bool)
-    mask[array.astype(np.int64)] = True
+    mask[indices] = True
     return mask
 
 

@@ -15,7 +15,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core import reachability as core
+from repro.core.ctmdp import CTMDP
 from repro.core.until import timed_until
+from repro.ctmc.model import CTMC
 from repro.ctmc.reachability import PreparedCTMCReachability
 from repro.ctmc.uniformization import uniformized_jump_matrix
 from repro.ctmc.until import timed_until_with_certificate
@@ -237,3 +239,113 @@ def test_dtmc_path_matches_the_parent_loop(ctmc_case):
             chain.bounded_reachability(indices, steps),
             reference.dtmc_bounded_reachability(chain, indices, steps),
         )
+
+
+# ----------------------------------------------------------------------
+# Edge cases of the live-row restriction: the kernel sweeps only the
+# rows of states that are neither goal nor blocked, over the columns
+# those rows read.  Each case is checked bitwise against the parent's
+# full-matrix loops through every timed path (plain, until, precompute,
+# replay; max and min; with and without a recorded scheduler).
+# ----------------------------------------------------------------------
+def _with_goal(ctmdp, goal_states):
+    goal = np.zeros(ctmdp.num_states, dtype=bool)
+    goal[goal_states] = True
+    return goal
+
+
+def _sidelined_columns_ctmdp():
+    """Live rows reading a blocked column with transitions (1), a blocked
+    column without (4), a live state without transitions (2) and the
+    goal (3).  Every transition has exit rate 3."""
+    ctmdp = CTMDP.from_transitions(
+        6,
+        [
+            (0, "a", {1: 1.0, 2: 1.0, 3: 1.0}),
+            (0, "b", {4: 2.0, 0: 1.0}),
+            (1, "c", {0: 3.0}),
+            (3, "d", {3: 3.0}),
+            (5, "e", {5: 1.0, 0: 2.0}),
+            (5, "f", {1: 3.0}),
+        ],
+    )
+    goal = _with_goal(ctmdp, [3])
+    safe = _with_goal(ctmdp, [0, 2, 5])
+    return ctmdp, goal, safe
+
+
+def _edge_cases():
+    race, race_goal = zoo.two_phase_race_ctmdp()
+    ftwc, ftwc_goal = _ftwc(2)
+    everything = np.ones(race.num_states, dtype=bool)
+    return {
+        # Every state but one is goal.
+        "all-but-one-goal": (ftwc, ~_with_goal(ftwc, [ftwc.initial]), _safe(ftwc.num_states)),
+        # Every state is goal: no live row on any path.
+        "all-goal": (race, everything, everything),
+        # Every state is goal or blocked: the until sweep has no live row.
+        "goal-or-blocked": (ftwc, ftwc_goal, ftwc_goal.copy()),
+        "sidelined-columns": _sidelined_columns_ctmdp(),
+    }
+
+
+@pytest.mark.parametrize("objective", OBJECTIVES)
+@pytest.mark.parametrize("case", sorted(_edge_cases()))
+def test_live_row_edge_cases_match_the_parent_loops(case, objective):
+    ctmdp, goal, safe = _edge_cases()[case]
+    for t in _time_bounds(ctmdp):
+        check_ctmdp_paths(ctmdp, goal, safe, t, objective)
+
+
+def test_sidelined_columns_leave_the_live_rows():
+    ctmdp, goal, safe = _sidelined_columns_ctmdp()
+    live = core.PreparedTimedReachability(ctmdp, goal, safe=safe).live
+    assert live.states.tolist() == [0, 2, 5]
+    assert live.prob.shape == (4, 6)  # rows of states 0 and 5; columns 0 2 5 | 1 3 4
+    assert live.zero_pos is None
+    assert live.goal_pos.tolist() == [4]
+
+
+@pytest.mark.parametrize("objective", OBJECTIVES)
+def test_ftwc16_until_matches_the_parent_loops(objective):
+    ctmdp, goal = _ftwc(16)
+    check_ctmdp_paths(ctmdp, goal, _safe(ctmdp.num_states), 8.0 / ctmdp.uniform_rate(), objective)
+
+
+def _ctmc_edge_cases():
+    """Chain, goal mask and uniformization rate (``None``: the chain's own)."""
+    cycle = zoo.cyclic_ctmc(5)
+    queue, queue_goal = zoo.queue_with_breakdowns()
+    # State 2 is absorbing: a live state whose uniformized row is a pure
+    # self-loop; state 4 has no incoming transition.
+    absorbing = CTMC.from_transitions(
+        5, [(0, 1, 2.0), (0, 2, 1.0), (1, 3, 4.0), (3, 0, 1.0), (4, 3, 3.0)]
+    )
+    return {
+        "all-but-one-goal": (cycle, np.arange(5) != 0, None),
+        # No live row; with every row absorbed only an explicit rate remains.
+        "all-goal": (cycle, np.ones(5, dtype=bool), 1.0),
+        "absorbing-live": (absorbing, np.arange(5) == 3, None),
+        "queue": (queue, queue_goal, None),
+    }
+
+
+@pytest.mark.parametrize("case", sorted(_ctmc_edge_cases()))
+def test_ctmc_live_row_edge_cases_match_the_parent_loops(case):
+    ctmc, goal, rate = _ctmc_edge_cases()[case]
+    uniform = rate or float(ctmc.exit_rates().max())
+    for t in (8.0 / uniform, 60.0 / uniform):
+        new = PreparedCTMCReachability(ctmc, goal, rate=rate)
+        old = reference.PreparedCTMCReachability(ctmc, goal, rate=rate)
+        assert np.array_equal(new.solve(t), old.solve(t))
+        assert new.last_certificate == old.last_certificate
+        if rate is not None:
+            continue  # the until front end uniformizes at the chain's own rate
+        # Blocked states among the live ones: absorbing, swept, zero.
+        safe = _safe(ctmc.num_states)
+        new_values, new_certificate = timed_until_with_certificate(ctmc, safe, goal, t)
+        old_values, old_certificate = reference.ctmc_timed_until_with_certificate(
+            ctmc, safe, goal, t
+        )
+        assert np.array_equal(new_values, old_values)
+        assert new_certificate == old_certificate

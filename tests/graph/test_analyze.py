@@ -4,6 +4,7 @@ import json
 from pathlib import Path
 
 import numpy as np
+import pytest
 
 from repro.graph import analyze_model
 from repro.io.tra import read_ctmdp_tra
@@ -74,6 +75,14 @@ class TestDefectFixture:
             "prob1_exists": 1,
             "prob1_forall": 1,
         }
+
+    def test_goal_index_out_of_range_rejected(self):
+        """A goal given as indices is range-checked: ``-1`` does not wrap
+        around to the last state, ``num_states`` is no bare IndexError."""
+        ctmdp = read_ctmdp_tra(FIXTURES / "defect_trap_mec.tra")
+        for index in (-1, ctmdp.num_states):
+            with pytest.raises(ValueError, match="out of range"):
+                analyze_model(ctmdp, goal=[index])
 
     def test_without_goal_no_qualitative_block(self):
         ctmdp = read_ctmdp_tra(FIXTURES / "defect_trap_mec.tra")

@@ -244,3 +244,34 @@ class TestFTWCAnchor:
             "prob1_exists": 275,
             "prob1_forall": 275,
         }
+
+
+class TestStateIndices:
+    """Goal and safe sets given as indices are range-checked: a negative
+    index is not wrapped around to the last state, and ``num_states``
+    is a ValueError like a mask of the wrong shape, not an IndexError."""
+
+    @pytest.fixture
+    def graph(self):
+        return graph_of(ftwc_direct.build_ctmdp(1).ctmdp)
+
+    @pytest.mark.parametrize("prob0", [prob0_forall, prob0_exists])
+    @pytest.mark.parametrize("where", ["goal", "safe"])
+    @pytest.mark.parametrize("index", [-1, "n"])
+    def test_out_of_range_index_rejected(self, graph, prob0, where, index):
+        bad = [graph.num_states if index == "n" else index]
+        goal, safe = ([0], bad) if where == "safe" else (bad, None)
+        with pytest.raises(ValueError, match="out of range"):
+            prob0(graph, goal, safe=safe)
+
+    @pytest.mark.parametrize("prob0", [prob0_forall, prob0_exists])
+    def test_mask_of_wrong_shape_rejected(self, graph, prob0):
+        with pytest.raises(ValueError, match="shape"):
+            prob0(graph, np.ones(graph.num_states + 1, dtype=bool))
+
+    @pytest.mark.parametrize("prob0", [prob0_forall, prob0_exists])
+    def test_indices_equal_their_mask(self, graph, prob0):
+        last = graph.num_states - 1
+        mask = np.zeros(graph.num_states, dtype=bool)
+        mask[[0, last]] = True
+        assert np.array_equal(prob0(graph, [0, last]), prob0(graph, mask))

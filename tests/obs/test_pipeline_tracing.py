@@ -97,6 +97,64 @@ class TestSolverTracing:
         assert sweeps[1].attributes["steps"]["steps"] > 0
 
 
+class TestSweptRows:
+    """The Poisson sweeps report the rows and nonzeros they evaluate:
+    on FTWC N=4 only the rows of states that are neither goal nor
+    blocked, next to the model's full transition count."""
+
+    @pytest.fixture(scope="class")
+    def ftwc4(self):
+        from repro.models import ftwc_direct
+
+        return ftwc_direct.build_ctmdp(4)
+
+    @staticmethod
+    def swept(tracer, name):
+        sweep = next(s for s in tracer.spans if s.name == name)
+        return sweep.attributes["rows_swept"], sweep.attributes["nnz_swept"]
+
+    @staticmethod
+    def rows_of(ctmdp, states):
+        rows = np.flatnonzero(np.repeat(states, np.diff(ctmdp.choice_ptr)))
+        return rows.size, ctmdp.probability_matrix()[rows].nnz
+
+    def test_reachability_and_until_sweep_live_rows(self, ftwc4):
+        from repro.core.until import timed_until
+
+        ctmdp, goal = ftwc4.ctmdp, ftwc4.goal_mask
+        safe = np.arange(ctmdp.num_states) % 3 != 1
+        with tracing() as tracer:
+            timed_reachability(ctmdp, goal, 10.0)
+            timed_until(ctmdp, safe, goal, 10.0)
+        sweep = next(s for s in tracer.spans if s.name == "reachability.sweep")
+        assert sweep.attributes["transitions"] == ctmdp.num_transitions
+        rows, nnz = self.swept(tracer, "reachability.sweep")
+        assert (rows, nnz) == self.rows_of(ctmdp, ~goal)
+        assert 0 < rows < ctmdp.num_transitions
+        assert self.swept(tracer, "until.sweep") == self.rows_of(ctmdp, safe & ~goal)
+
+    def test_recording_a_scheduler_sweeps_every_row(self, ftwc4):
+        ctmdp = ftwc4.ctmdp
+        with tracing() as tracer:
+            timed_reachability(ctmdp, ftwc4.goal_mask, 10.0, record_scheduler=True)
+        assert self.swept(tracer, "reachability.sweep") == (
+            ctmdp.num_transitions,
+            ctmdp.probability_matrix().nnz,
+        )
+
+    def test_ctmc_sweep_skips_the_goal_rows(self):
+        from repro.ctmc.reachability import PreparedCTMCReachability
+        from repro.models import ftwc_direct
+
+        ctmc, _configs, goal = ftwc_direct.build_ctmc(4)
+        prepared = PreparedCTMCReachability(ctmc, goal)
+        with tracing() as tracer:
+            prepared.solve(10.0)
+        rows, nnz = self.swept(tracer, "ctmc.sweep")
+        assert rows == np.count_nonzero(~goal) < ctmc.num_states
+        assert nnz == prepared.p[np.flatnonzero(~goal)].nnz
+
+
 class TestProfile:
     def test_profile_query_report(self):
         report = profile_query(family="ftwc", n=1, t=10.0)

@@ -261,6 +261,16 @@ class TestAnalyzeCommand:
     def test_missing_file_is_usage_error(self, tmp_path, capsys):
         assert main(["analyze", str(tmp_path / "missing.tra")]) == 2
 
+    @pytest.mark.parametrize("state", [0, 5])
+    def test_goal_label_out_of_range_is_usage_error(self, tmp_path, capsys, state):
+        """A ``.lab`` entry outside ``1..4`` (``0`` would be index -1) is a
+        diagnostic, never a goal wrapped around to another state."""
+        model = tmp_path / "trap.tra"
+        model.write_text((self.FIXTURES / "defect_trap_mec.tra").read_text())
+        (tmp_path / "trap.lab").write_text(f"#DECLARATION\ngoal\n#END\n{state} goal\n")
+        assert main(["analyze", str(model), "--goal", "goal"]) == 2
+        assert "out of range" in capsys.readouterr().err
+
 
 class TestCheckPrecompute:
     def parse_value(self, out: str) -> float:
