@@ -9,6 +9,12 @@ the refinement, then times both engines over the recorded sequence --
 isolating refinement from composition and quotient construction, which
 the two engines share.
 
+The recorded build is the station-last composition order kept in
+``tests/models/_ftwc_compositional_reference.py`` (its largest quotient
+input has 80,000 states), not the library's station-first order, whose
+products stay below 3,400 states at N=3: the ledger series keeps
+measuring the same workload.
+
 Every run appends wall times and the speedup to the
 ``BENCH_bisim.json`` ledger in the repository root (git commit + UTC
 timestamp), so the series shows regressions rather than one snapshot.
@@ -22,7 +28,7 @@ import numpy as np
 from _ledger import append_run
 
 import repro.bisim.branching as branching
-from repro.models.ftwc import build_system_imc
+from tests.models._ftwc_compositional_reference import build_system_imc
 
 N = 3
 WORKLIST_REPEATS = 3
@@ -33,7 +39,7 @@ MIN_SPEEDUP = 2.0
 
 
 def _record_minimisation_workload():
-    """The (model, labels) pairs minimised by the N=3 compositional build."""
+    """The (model, labels) pairs minimised by the N=3 station-last build."""
     recorded = []
     original = branching.branching_bisimulation
 

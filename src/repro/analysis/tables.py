@@ -124,6 +124,8 @@ def render_compositional(rows: list[CompositionalRow]) -> str:
         "CTMDP trans",
         "Build(s)",
         "p(100h)",
+        "Direct states",
+        "p(100h) direct",
     ]
     grid = [
         [
@@ -134,7 +136,9 @@ def render_compositional(rows: list[CompositionalRow]) -> str:
             str(row.ctmdp_states),
             str(row.ctmdp_transitions),
             f"{row.build_seconds:.2f}",
-            f"{row.probability_100h:.6e}",
+            f"{row.probability_100h:.10e}",
+            str(row.direct_states),
+            f"{row.direct_probability_100h:.10e}",
         ]
         for row in rows
     ]

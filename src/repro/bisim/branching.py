@@ -31,9 +31,12 @@ of :mod:`repro.bisim.signatures`.
 
 The refinement fixpoint always *is* a stochastic branching bisimulation
 (this is verified exhaustively on random models in the test suite via
-:func:`is_stochastic_branching_bisimulation`); quotienting by it is
-therefore behaviour-preserving even in corner cases where it may be
-finer than the coarsest such bisimulation.
+:func:`is_stochastic_branching_bisimulation`), so quotienting by it is
+behaviour-preserving.  A quotient keeps every block of its input, also
+states reachable only through Markov transitions that maximal progress
+preempts; quotients of bisimilar models may therefore differ in size
+(the FTWC ablation in EXPERIMENTS.md) -- compare initial states, as
+:func:`repro.bisim.compare.are_branching_bisimilar` does, not sizes.
 """
 
 from __future__ import annotations

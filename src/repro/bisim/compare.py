@@ -71,11 +71,11 @@ def are_branching_bisimilar(
     Optional per-state labels (atomic propositions) must be respected by
     the relation; provide both or neither.
 
-    Because the partition is computed by signature refinement, a
-    ``True`` answer is always sound; in rare corner cases the fixpoint
-    is finer than the coarsest bisimulation and genuinely equivalent
-    models may be reported as different (see
-    :mod:`repro.bisim.branching`).
+    The partition is computed by signature refinement on the disjoint
+    union, so a ``True`` answer is always sound.  Bisimilar models may
+    differ in size, even as quotients: states reachable only through
+    Markov transitions that maximal progress preempts do not affect the
+    initial states' blocks (see :mod:`repro.bisim.branching`).
     """
     return _bisimilar(left, right, branching_bisimulation, left_labels, right_labels)
 

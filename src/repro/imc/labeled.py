@@ -22,6 +22,11 @@ state and lifts the composition operators:
 * :meth:`LabeledIMC.relabel_observations` post-processes observations
   (e.g. collapsing count tuples to a final boolean predicate before the
   last quotient, to maximise reduction).
+
+``parallel`` runs in an ``imc.parallel`` span annotated with the state
+and transition counts of both operands and of the product; ``hide`` and
+``hide_all_but`` run in an ``imc.hide`` span annotated with the counts
+hiding keeps (it only renames actions to ``tau``).
 """
 
 from __future__ import annotations
@@ -34,6 +39,7 @@ from repro.imc.composition import hide as _hide
 from repro.imc.composition import parallel_with_map
 from repro.imc.composition import relabel as _relabel
 from repro.imc.model import IMC
+from repro.obs import span
 
 __all__ = ["LabeledIMC", "add_tuples"]
 
@@ -43,6 +49,10 @@ def add_tuples(left: tuple, right: tuple) -> tuple:
     if len(left) != len(right):
         raise ModelError("observation tuples must have equal length")
     return tuple(a + b for a, b in zip(left, right))
+
+
+def _transitions(imc: IMC) -> int:
+    return imc.num_interactive_transitions + imc.num_markov_transitions
 
 
 @dataclass
@@ -81,23 +91,31 @@ class LabeledIMC:
         combine: Callable[[Hashable, Hashable], Hashable] = add_tuples,
     ) -> "LabeledIMC":
         """Parallel composition, combining the observations pairwise."""
-        product, pairs = parallel_with_map(self.imc, other.imc, sync)
-        observations = [
-            combine(self.observations[s], other.observations[v]) for s, v in pairs
-        ]
+        with span(
+            "imc.parallel",
+            left_states=self.imc.num_states,
+            left_transitions=_transitions(self.imc),
+            right_states=other.imc.num_states,
+            right_transitions=_transitions(other.imc),
+            sync=len(sync),
+        ) as sp:
+            product, pairs = parallel_with_map(self.imc, other.imc, sync)
+            observations = [
+                combine(self.observations[s], other.observations[v]) for s, v in pairs
+            ]
+            if sp is not None:
+                sp.annotate(states=product.num_states, transitions=_transitions(product))
         return LabeledIMC(imc=product, observations=observations)
 
     def hide(self, actions: Sequence[str]) -> "LabeledIMC":
         """Hide actions; observations unchanged."""
-        return LabeledIMC(imc=_hide(self.imc, actions), observations=list(self.observations))
+        with span("imc.hide", states=self.imc.num_states, transitions=_transitions(self.imc)):
+            hidden = _hide(self.imc, actions)
+        return LabeledIMC(imc=hidden, observations=list(self.observations))
 
     def hide_all_but(self, keep: Sequence[str] = ()) -> "LabeledIMC":
         """Close the system; observations unchanged."""
-        from repro.imc.composition import hide_all_but as _hide_all_but
-
-        return LabeledIMC(
-            imc=_hide_all_but(self.imc, keep), observations=list(self.observations)
-        )
+        return self.hide(self.imc.visible_actions() - set(keep))
 
     def relabel(self, mapping: dict[str, str]) -> "LabeledIMC":
         """Relabel actions; observations unchanged."""

@@ -27,11 +27,12 @@ documented below):
   This is stochastically equivalent (repairs are sequential anyway, and
   exponential clocks are memoryless) and reproduces the paper's uniform
   rates exactly.  See DESIGN.md for the full argument.
-* **System**: per-kind blocks are interleaved (workstations of one side
-  share their type-level action names, so the station synchronises with
-  whichever failed replica moves -- the repair-unit nondeterminism of
-  the paper), the station is composed on the grab/repair/release
-  alphabet, everything is hidden, and the result is minimised.
+* **System**: built station first, one component kind at a time: the
+  kind's replicas are interleaved (workstations of one side share their
+  type-level action names, so the station synchronises with whichever
+  failed replica moves -- the repair-unit nondeterminism of the paper),
+  synchronised with the system so far on the kind's grab/repair/release
+  alphabet, which is hidden at once, and minimised.
 
 Per-state *operation counts* are threaded through composition and
 minimisation so the premium-service predicate of [13] survives all
@@ -181,20 +182,21 @@ def build_system_imc(
     minimize_intermediate: bool = True,
     engine: str = "worklist",
 ) -> SystemIMC:
-    """Compose the full FTWC as a closed uniform IMC.
+    """Compose the full FTWC as a closed uniform IMC, repair station first.
 
-    Follows the paper's recipe: per-component blocks (interleaved;
-    replicas of one kind share type-level action names), the repair
-    station synchronised on the grab/repair/release alphabet, full
-    hiding, and a final minimisation seeded with the premium predicate.
+    Each kind's interleaved replicas are synchronised with the system so
+    far on ``A_k = {g_k, rep_k, r_k}``, and ``A_k`` is hidden at once; a
+    final minimisation seeded with the premium predicate closes the
+    model.  The ``A_k`` are disjoint, so this equals synchronising the
+    station with the interleaving of all blocks (docs/ftwc.md), whose
+    80,000 states at N=3 it never builds.
 
     With ``minimize_intermediate`` every intermediate composition is
     quotiented (the classical compositional minimisation principle);
     without it the intermediate state spaces grow quickly -- the
     ablation benchmark measures exactly this effect.  ``engine``
     selects the refinement implementation used by every quotient
-    (``"worklist"`` or ``"naive"``; ``BENCH_bisim.json`` records the
-    speedup between the two on exactly this pipeline).
+    (``"worklist"`` or ``"naive"``).
     """
     params = params or FTWCParameters(n=n)
     if params.n != n:
@@ -203,26 +205,21 @@ def build_system_imc(
     def maybe_minimize(model: LabeledIMC) -> LabeledIMC:
         return model.minimize(engine=engine) if minimize_intermediate else model
 
-    # Interleave the workstation replicas of each side.
+    # Interleave the replicas of one kind (N workstations per side).
     def cluster(kind: str) -> LabeledIMC:
         block = component_block(
             kind, params.fail_rate(kind), minimize=minimize_intermediate, engine=engine
         )
         result = block
-        for _ in range(1, n):
+        for _ in range(1, n if kind.startswith("ws") else 1):
             result = maybe_minimize(result.parallel(block, sync=[]))
         return result
 
-    system = maybe_minimize(cluster("wsL").parallel(cluster("wsR"), sync=[]))
-    for kind in ("swL", "swR", "bb"):
-        block = component_block(
-            kind, params.fail_rate(kind), minimize=minimize_intermediate, engine=engine
-        )
-        system = maybe_minimize(system.parallel(block, sync=[]))
-
-    station = repair_station(params)
-    sync = [f"{prefix}_{kind}" for kind in _OBS_KINDS for prefix in ("g", "rep", "r")]
-    system = station.parallel(system, sync=sync)
+    system = repair_station(params)
+    for kind in _OBS_KINDS:
+        alphabet = [f"{prefix}_{kind}" for prefix in ("g", "rep", "r")]
+        system = system.parallel(cluster(kind), sync=alphabet)
+        system = maybe_minimize(system.hide(alphabet))
 
     closed = system.hide_all_but()
     # Final quotient: only the premium predicate needs to survive now.
@@ -266,9 +263,9 @@ def build_compositional(
 ) -> FTWCCompositional:
     """Full compositional pipeline: compose, minimise, transform.
 
-    Practical for small ``n`` (the paper reaches ``N = 14`` with CADP's
-    optimised C implementation; the pure-Python route is intended for
-    ``N <= 4``, which suffices to cross-validate the direct generator).
+    N=8 builds in about 2 s and N=16 in about 14 s (the paper reaches
+    ``N = 14`` with CADP), agreeing with the direct generator
+    (EXPERIMENTS.md, "Section 5").
     """
     params = params or FTWCParameters(n=n)
     system = build_system_imc(n, params, minimize_intermediate, engine=engine)

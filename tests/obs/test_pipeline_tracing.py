@@ -97,6 +97,32 @@ class TestSolverTracing:
         assert sweeps[1].attributes["steps"]["steps"] > 0
 
 
+class TestCompositionTracing:
+    """The composition operators of the compositional FTWC build are
+    spanned, with the counts going in and coming out."""
+
+    def test_parallel_and_hide_spans_on_compositional_build(self):
+        from repro.models.ftwc import build_system_imc
+
+        with tracing() as tracer:
+            build_system_imc(1)
+        parallel = [s for s in tracer.spans if s.name == "imc.parallel"]
+        hide = [s for s in tracer.spans if s.name == "imc.hide"]
+        # One block per kind (clock and component), one station sync per
+        # kind; a fail hide per block, an alphabet hide per kind, and
+        # the final hide_all_but.
+        assert len(parallel) == 10
+        assert len(hide) == 11
+        for sp in parallel:
+            attrs = sp.attributes
+            assert attrs["left_states"] > 0 and attrs["right_states"] > 0
+            assert 0 < attrs["states"] <= attrs["left_states"] * attrs["right_states"]
+            assert attrs["transitions"] > 0
+        syncs = [sp.attributes["sync"] for sp in parallel]
+        assert syncs.count(3) == 5  # one grab/repair/release sync per kind
+        assert all(sp.attributes["states"] > 0 for sp in hide)
+
+
 class TestSweptRows:
     """The Poisson sweeps report the rows and nonzeros they evaluate:
     on FTWC N=4 only the rows of states that are neither goal nor
