@@ -7,7 +7,6 @@ from repro.core.reachability import (
     unbounded_reachability,
 )
 from repro.core.expected_time import expected_reachability_time
-from repro.core.qualitative import almost_sure_max, almost_sure_min, cannot_reach
 from repro.core.until import timed_until
 from repro.core.uniformity import uniformize_ctmdp
 from repro.core.scheduler import (
@@ -32,7 +31,4 @@ __all__ = [
     "uniformize_ctmdp",
     "timed_until",
     "expected_reachability_time",
-    "almost_sure_max",
-    "almost_sure_min",
-    "cannot_reach",
 ]

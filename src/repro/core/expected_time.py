@@ -30,9 +30,10 @@ from typing import Iterable
 import numpy as np
 
 from repro.core.ctmdp import CTMDP
-from repro.core.qualitative import almost_sure_max, almost_sure_min
 from repro.core.sweep import state_mask
 from repro.errors import ModelError, NonUniformError
+from repro.graph.qualitative import prob1_exists, prob1_forall
+from repro.graph.structure import TransitionGraph
 from repro.obs import NumericalCertificate, iterative_certificate
 
 __all__ = [
@@ -157,10 +158,11 @@ def expected_time_analysis(
     # Finiteness (decided qualitatively, on the graph): max E[T] is
     # finite iff *every* scheduler reaches B almost surely, min E[T] iff
     # *some* scheduler does.
+    graph = TransitionGraph.from_ctmdp(ctmdp)
     if objective == "max":
-        finite = almost_sure_min(ctmdp, mask) | mask
+        finite = prob1_forall(graph, mask) | mask
     else:
-        finite = almost_sure_max(ctmdp, mask) | mask
+        finite = prob1_exists(graph, mask) | mask
 
     import scipy.sparse as sp
     import scipy.sparse.linalg

@@ -9,7 +9,7 @@ constructors already enforce (index ranges, positivity), because models
 reach them through mutation, pickling and on-disk round trips, not only
 through the constructors.
 
-The IMC analyzer is the successor of the original ``repro.imc.checks``
+The IMC analyzer is the successor of the original slug-coded IMC
 linter; its legacy slug codes map onto the stable code space as
 
 ====================  ======

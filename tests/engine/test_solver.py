@@ -222,3 +222,22 @@ class TestQueryEngine:
         built = engine.model(SPEC1)
         assert built.kind == "ctmdp"
         assert engine.model(SPEC1) is built
+
+    def test_first_run_imports_no_network_client(self):
+        """A fresh process answering one query loads no HTTP/TLS client:
+        ``urllib.request`` and ``ssl`` cost tens of milliseconds to
+        import and nothing on the single-process path needs them."""
+        import subprocess
+        import sys
+
+        code = (
+            "import sys\n"
+            "from repro.engine import Query, QueryEngine\n"
+            "batch = QueryEngine().run([Query(model={'family': 'ftwc', 'n': 1}, t=100.0)])\n"
+            "assert batch.results[0].ok\n"
+            "print(sorted({'urllib.request', 'ssl'} & set(sys.modules)))\n"
+        )
+        completed = subprocess.run(
+            [sys.executable, "-c", code], capture_output=True, text=True, check=True
+        )
+        assert completed.stdout.strip() == "[]"

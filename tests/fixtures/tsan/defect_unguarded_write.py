@@ -1,8 +1,7 @@
 """Planted defect: guarded attribute written without its lock (T001).
 
-``RacyFleetStore`` is a pocket-sized model of the real
-:class:`repro.obs.fleet.FleetStore` with the classic lost-update bug:
-``record_push`` performs an unlocked read-modify-write on ``_pushes``,
+``RacyFleetStore`` is a pocket-sized push-counting store with the
+classic lost-update bug: ``record_push`` performs an unlocked read-modify-write on ``_pushes``,
 so two concurrent pushes can both read the same old count and one
 increment vanishes.  The file doubles as
 
@@ -22,7 +21,7 @@ from repro.tsan import guarded_by
 
 @guarded_by("_lock", "_pushes", "_payloads")
 class RacyFleetStore:
-    """A fleet store whose push path forgot to take its lock."""
+    """A push-counting store whose push path forgot to take its lock."""
 
     def __init__(self) -> None:
         self._lock = threading.Lock()

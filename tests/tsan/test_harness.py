@@ -140,7 +140,7 @@ class TestCooperativeLock:
 
 
 class TestPlantedRace:
-    """The acceptance criterion: the planted FleetStore race reproduces
+    """The acceptance criterion: the planted lost-update race reproduces
     deterministically under a fixed seed."""
 
     def build_racy(self, harness: InterleavingHarness):
